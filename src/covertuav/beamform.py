@@ -9,16 +9,18 @@ bisection. Beam directions enter through the received-power coefficients:
 the default isotropic mode uses the full-trace antenna gains, while the
 direction-aware mode projects explicit channel vectors onto a rank-one
 beam family mixing the covert user's own link with the leakage direction.
+The slot model itself (rate, redundancy, connection probabilities, and
+the covert-silent rule) lives in `kernels`; this module only chooses the
+powers and beams it is evaluated at.
 """
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, secmetrics
+from ._csvio import write_atomic_csv
 
 __all__ = ["CovertBudgetError", "SlotEnv", "slot_env", "env_from_vectors",
            "slot_objective", "BsaResult", "bsa_optimize",
@@ -281,15 +283,15 @@ class BeamformDecision:
 
 
 def _decision_from_env(env, q_c, u_b, u_c, theta):
-    q_b, p_ba, p_ca, p_cw = env.split_powers(q_c)
-    r_w = secmetrics.secrecy_redundancy(env.budget, p_cw, env.sigma_w2,
-                                        math.exp(-env.neg_ln_eta))
-    r_s = secmetrics.secret_rate(env.r_t, r_w)
-    scp1 = secmetrics.scp_h1(p_ba, p_ca, env.sigma_a2, env.r_t)
-    cc = secmetrics.ccp(p_ba, p_ca, env.sigma_a2, env.r_t, env.r_c)
-    rate = env.kappa * scp1 * r_s + (1.0 - env.kappa) * cc * env.r_c
-    return BeamformDecision(q_c=q_c, q_b=q_b, u_b=u_b, u_c=u_c, theta=theta,
-                            r_w=r_w, r_s=r_s, scp_h1=scp1, ccp=cc, rate=rate)
+    env.split_powers(q_c)  # budget check with the named-bound error
+    t = kernels.h1_slot(q_c, env.c_ba, env.c_ca, env.c_cw, env.g_bw,
+                        env.q_b_max, env.sigma_a2, env.sigma_w2, env.gamma_t,
+                        env.gamma_c, math.exp(-env.neg_ln_eta), env.kappa,
+                        env.r_t, env.r_c)
+    return BeamformDecision(q_c=q_c, q_b=float(t.q_b), u_b=u_b, u_c=u_c,
+                            theta=theta, r_w=float(t.r_w), r_s=float(t.r_s),
+                            scp_h1=float(t.scp), ccp=float(t.scp * t.tail),
+                            rate=float(t.rate))
 
 
 def decision_at(cfg, gains, q_c, slot=0, env=None):
@@ -326,21 +328,15 @@ class H0Decision:
 
 
 def h0_decision(cfg, gains, slot=0):
-    """Full-power maximum-ratio design with the covert user silent.
-
-    The redundancy rate is the adversary's full-leakage capacity, raised to
-    the outage-cap boundary whenever that cap binds.
-    """
+    """Full-power maximum-ratio design with the covert user silent
+    (`kernels.h0_slot`), with its secrecy outage."""
     p_bw = cfg.q_b_max_w * float(gains.g_bw)
     p_ba = cfg.q_b_max_w * float(gains.g_ba[slot])
-    r_cap = math.log2(1.0 + p_bw / cfg.sigma_w2_w)
-    r_sop = secmetrics.redundancy_for_outage_cap(p_bw, cfg.sigma_w2_w, cfg.eta_s)
-    r_w = max(r_cap, r_sop)
-    r_s = secmetrics.secret_rate(cfg.r_t, r_w)
-    scp0 = secmetrics.scp_h0(p_ba, cfg.sigma_a2_w, cfg.r_t)
-    sop0 = secmetrics.sop_h0(p_bw, cfg.sigma_w2_w, r_w)
-    return H0Decision(q_b=cfg.q_b_max_w, r_w=r_w, r_s=r_s, scp_h0=scp0,
-                      sop_h0=sop0, rate=scp0 * r_s)
+    t = kernels.h0_slot(p_ba, p_bw, cfg.sigma_a2_w, cfg.sigma_w2_w,
+                        cfg.gamma_t, cfg.eta_s, cfg.r_t)
+    sop0 = secmetrics.sop_h0(p_bw, cfg.sigma_w2_w, t.r_w)
+    return H0Decision(q_b=cfg.q_b_max_w, r_w=t.r_w, r_s=t.r_s,
+                      scp_h0=float(t.scp), sop_h0=sop0, rate=float(t.rate))
 
 
 @dataclass(frozen=True)
@@ -448,12 +444,13 @@ _DECISION_COLUMNS = ("slot", "q_b", "q_c", "theta", "r_w", "r_s",
 
 
 def write_decisions_csv(path, decisions):
-    """One row per slot decision (atomic temp-plus-rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DECISION_COLUMNS)
-        for slot, d in enumerate(decisions):
-            writer.writerow([slot, d.q_b, d.q_c, d.theta, d.r_w, d.r_s,
-                             d.scp_h1, d.ccp, d.rate])
-    os.replace(tmp, path)
+    """One row per slot decision (atomic temp-plus-rename).
+
+    A covert-silent `H0Decision` row carries 0 in the covert columns (q_c,
+    theta, ccp) and its scp_h0 in the scp_h1 column.
+    """
+    write_atomic_csv(path, _DECISION_COLUMNS, [
+        [slot, d.q_b, 0.0, 0.0, d.r_w, d.r_s, d.scp_h0, 0.0, d.rate]
+        if isinstance(d, H0Decision) else
+        [slot, d.q_b, d.q_c, d.theta, d.r_w, d.r_s, d.scp_h1, d.ccp, d.rate]
+        for slot, d in enumerate(decisions)])

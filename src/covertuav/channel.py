@@ -21,6 +21,7 @@ __all__ = [
     "squared_horizontal_distance",
     "air_large_scale",
     "ground_large_scale",
+    "ground_gains",
     "gains_for_positions",
     "rician_fading",
     "rayleigh_fading",
@@ -50,6 +51,15 @@ def ground_large_scale(cfg: ScenarioConfig, dist, xi):
     if dist <= 0:
         raise ValueError("ground link distance must be positive")
     return cfg.eta0 * cfg.lambda0 * dist ** xi
+
+
+def ground_gains(cfg: ScenarioConfig):
+    """Per-antenna ground gains (a2_bw, a2_cw) of the secret and the covert
+    user's links to the adversary."""
+    d_bw = float(np.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1]))
+    d_cw = float(np.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1]))
+    return (ground_large_scale(cfg, d_bw, cfg.xi_bw),
+            ground_large_scale(cfg, d_cw, cfg.xi_cw))
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,7 @@ def gains_for_positions(cfg: ScenarioConfig, positions) -> ChannelGains:
     mu_ca = squared_horizontal_distance(positions, cfg.l_c)
     a2_ba = air_large_scale(cfg, mu_ba, cfg.xi_ba)
     a2_ca = air_large_scale(cfg, mu_ca, cfg.xi_ca)
-    d_bw = float(np.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1]))
-    d_cw = float(np.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1]))
-    a2_bw = ground_large_scale(cfg, d_bw, cfg.xi_bw)
-    a2_cw = ground_large_scale(cfg, d_cw, cfg.xi_cw)
+    a2_bw, a2_cw = ground_gains(cfg)
     return ChannelGains(
         mu_ba=mu_ba, mu_ca=mu_ca,
         a2_ba=a2_ba, a2_ca=a2_ca,

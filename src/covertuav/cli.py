@@ -15,7 +15,6 @@ codes: 0 success, 1 configuration error, 2 optimization failure,
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,8 +24,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import beamform, channel, mc_oracle, orchestrator, scenario, \
-    secmetrics, trajectory
+from . import beamform, channel, kernels, mc_oracle, orchestrator, \
+    scenario, secmetrics, trajectory
+from ._csvio import write_atomic_csv
 from .rng import make_rng
 
 __all__ = [
@@ -52,15 +52,6 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------------------
 # small file plumbing
-
-
-def _atomic_csv(path, header, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -150,8 +141,8 @@ def cmd_metrics_sweep(cfg, figure, outdir, sweep=None):
     files = []
 
     def emit(name, column, values):
-        _atomic_csv(os.path.join(outdir, name), (column, figure),
-                    list(zip(grid.tolist(), np.asarray(values).tolist())))
+        write_atomic_csv(os.path.join(outdir, name), (column, figure),
+                         list(zip(grid.tolist(), np.asarray(values).tolist())))
         files.append(name)
 
     if figure == "dep":
@@ -212,20 +203,14 @@ def cmd_rate_vs_power(cfg, mode, outdir, num=10_001):
     if mode == "h1":
         grid = np.linspace(0.0, env.q_c_feasible, num)
         rows = list(zip(grid.tolist(), np.asarray(env.rate(grid)).tolist()))
-        _atomic_csv(os.path.join(outdir, name), ("q_c", "rate"), rows)
+        write_atomic_csv(os.path.join(outdir, name), ("q_c", "rate"), rows)
         return [name]
 
     grid = np.linspace(1e-6 * cfg.q_b_max_w, cfg.q_b_max_w, num)
-    rows = []
-    for q_b in grid:
-        p_bw = q_b * env.g_bw
-        r_w = max(math.log2(1.0 + p_bw / env.sigma_w2),
-                  secmetrics.redundancy_for_outage_cap(p_bw, env.sigma_w2,
-                                                       cfg.eta_s))
-        r_s = secmetrics.secret_rate(cfg.r_t, r_w)
-        scp0 = secmetrics.scp_h0(q_b * env.c_ba, env.sigma_a2, cfg.r_t)
-        rows.append((float(q_b), float(scp0 * r_s)))
-    _atomic_csv(os.path.join(outdir, name), ("q_b", "rate"), rows)
+    rows = [(float(q_b), float(kernels.h0_slot(
+        q_b * env.c_ba, q_b * env.g_bw, env.sigma_a2, env.sigma_w2,
+        env.gamma_t, cfg.eta_s, env.r_t).rate)) for q_b in grid]
+    write_atomic_csv(os.path.join(outdir, name), ("q_b", "rate"), rows)
     return [name]
 
 

@@ -1,161 +1,146 @@
-"""Dual-backend numeric kernels for the hot loops.
+"""The slot model and the radiometer kernel, in numpy.
 
-Two kernels dominate runtime: the per-trial radiometer statistic inside the
-detection Monte Carlo, and dense evaluation of the per-slot weighted rate
-over covert-power grids (used by the power search, its unimodality pre-scan
-and the brute-force oracles). Both ship in a compiled numba flavor and a
-pure-numpy flavor.
+Every planner path evaluates the per-slot rate here: the power search
+(`slot_rate_curve`, through `beamform.SlotEnv.rate`), the per-slot
+decisions, the trajectory rate and its linearization, and the
+covert-silent benchmark. `h1_slot` is the covert-active model and
+`h0_slot` the covert-silent one; both broadcast over arrays of slots.
+The closed forms in `secmetrics` (`scp_h1`, `ccp`, ...) stay the reference
+the Monte Carlo oracle and the tests compare against.
 
-Backend selection: the COVERTUAV_BACKEND environment variable ("numba" or
-"numpy") wins; unset, numba is used when importable and numpy otherwise.
-`set_backend` switches at runtime (the benchmark suite uses this). Random
-draws always happen outside the kernels, so the two flavors see identical
-inputs; outputs differ only by float summation order, well below any
-decision threshold used in tests.
+`radiometer_statistic` is the per-trial statistic of the detection Monte
+Carlo; random draws happen outside it.
 """
 
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 
 from . import secmetrics
 
-__all__ = ["active_backend", "available_backends", "set_backend",
+__all__ = ["active_backend", "H1Terms", "h1_slot", "H0Terms", "h0_slot",
            "radiometer_statistic", "slot_rate_curve"]
-
-_ENV_VAR = "COVERTUAV_BACKEND"
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via the numpy backend tests
-    numba = None
-
-
-# -- pure numpy flavor ---------------------------------------------------------
-
-
-def _np_radiometer_statistic(draws, scale):
-    k = draws.shape[1]
-    return (draws * draws).sum(axis=1) * (scale / k)
-
-
-def _np_slot_rate_curve(q_c, r_w, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2,
-                        gamma_t, gamma_c, kappa, r_t, r_c):
-    budget = q_b_max * g_bw
-    p_cw = c_cw * q_c
-    feasible = p_cw <= budget
-    q_b = np.maximum(q_b_max - p_cw / g_bw, 0.0)
-    p_ba = c_ba * q_b
-    p_ca = c_ca * q_c
-    r_s = np.maximum(r_t - r_w, 0.0)
-    num = p_ba - gamma_t * sigma_a2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(p_ca > 0, num / np.where(p_ca > 0, gamma_t * p_ca, 1.0), 0.0)
-        scp = np.where(p_ca > 0,
-                       np.where(ratio > 0, -np.expm1(-np.maximum(ratio, 0.0)), 0.0),
-                       (num >= 0) * 1.0)
-        tail = np.where(p_ca > 0,
-                        np.exp(-gamma_c * sigma_a2 / np.where(p_ca > 0, p_ca, 1.0)),
-                        0.0)
-    if gamma_t <= 0:
-        scp = np.ones_like(scp)
-    rate = kappa * scp * r_s + (1.0 - kappa) * scp * tail * r_c
-    return np.where(feasible, rate, -np.inf)
-
-
-# -- numba flavor --------------------------------------------------------------
-
-
-def _nb_radiometer_statistic(draws, scale):  # pragma: no cover - compiled
-    n, k = draws.shape
-    out = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(k):
-            acc += draws[i, j] * draws[i, j]
-        out[i] = acc * (scale / k)
-    return out
-
-
-def _nb_slot_rate_curve(q_c, r_w, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2,
-                        gamma_t, gamma_c, kappa, r_t, r_c):  # pragma: no cover - compiled
-    n = q_c.shape[0]
-    out = np.empty(n)
-    budget = q_b_max * g_bw
-    for i in range(n):
-        q = q_c[i]
-        p_cw = c_cw * q
-        if p_cw > budget:
-            out[i] = -np.inf
-            continue
-        q_b = q_b_max - p_cw / g_bw
-        if q_b < 0.0:
-            q_b = 0.0
-        p_ba = c_ba * q_b
-        p_ca = c_ca * q
-        r_s = r_t - r_w[i]
-        if r_s < 0.0:
-            r_s = 0.0
-        num = p_ba - gamma_t * sigma_a2
-        if gamma_t <= 0:
-            scp = 1.0
-            tail = 0.0 if p_ca <= 0 else math.exp(-gamma_c * sigma_a2 / p_ca)
-        elif p_ca > 0:
-            ratio = num / (gamma_t * p_ca)
-            scp = -math.expm1(-ratio) if ratio > 0 else 0.0
-            tail = math.exp(-gamma_c * sigma_a2 / p_ca)
-        else:
-            scp = 1.0 if num >= 0 else 0.0
-            tail = 0.0
-        out[i] = kappa * scp * r_s + (1.0 - kappa) * scp * tail * r_c
-    return out
-
-
-_IMPLS = {"numpy": {"radiometer_statistic": _np_radiometer_statistic,
-                    "slot_rate_curve": _np_slot_rate_curve}}
-
-if numba is not None:
-    _IMPLS["numba"] = {
-        "radiometer_statistic": numba.njit(cache=True)(_nb_radiometer_statistic),
-        "slot_rate_curve": numba.njit(cache=True)(_nb_slot_rate_curve),
-    }
-
-
-def available_backends():
-    """Names of the backends importable in this environment."""
-    return tuple(sorted(_IMPLS))
-
-
-def _initial_backend():
-    forced = os.environ.get(_ENV_VAR, "").strip().lower()
-    if forced:
-        if forced not in ("numba", "numpy"):
-            raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {forced!r}")
-        if forced not in _IMPLS:
-            raise ImportError(f"{_ENV_VAR}={forced} but numba is not importable")
-        return forced
-    return "numba" if "numba" in _IMPLS else "numpy"
-
-
-_ACTIVE = _initial_backend()
 
 
 def active_backend():
-    return _ACTIVE
+    """Name of the array backend (numpy is the only one)."""
+    return "numpy"
 
 
-def set_backend(name):
-    """Switch kernel flavor at runtime; returns the previous name."""
-    global _ACTIVE
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    previous = _ACTIVE
-    _ACTIVE = name
-    return previous
+class H1Terms(NamedTuple):
+    """Covert-active slot model at given covert powers (arrays per slot).
+
+    d_ba and d_ca are the rate's partials along the requested chain
+    factors (`h1_slot`), present only when requested.
+    """
+
+    q_b: np.ndarray
+    p_ba: np.ndarray
+    p_ca: np.ndarray
+    p_cw: np.ndarray
+    r_w: np.ndarray
+    r_s: np.ndarray
+    scp: np.ndarray      # secret connection probability under cover
+    tail: np.ndarray     # covert-link tail; the covert connection is scp*tail
+    rate: np.ndarray
+    d_ba: np.ndarray = None
+    d_ca: np.ndarray = None
 
 
-# -- dispatching wrappers ------------------------------------------------------
+def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
+            gamma_t, gamma_c, eta_s, kappa, r_t, r_c, chain=None):
+    """Weighted secret/covert slot rate with the covert user transmitting.
+
+    The cover c_cw*q_c received by the adversary is carved out of the secret
+    user's budget q_b_max*g_bw, which fixes the secret power q_b and the
+    redundancy rate holding the secrecy outage at eta_s
+    (`secmetrics.secrecy_redundancy`). The secret stream connects with
+    probability scp over the faded covert interference; the covert stream
+    also needs its own link to clear gamma_c. The rate is
+    kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c, c_ba and c_ca may be
+    per-slot arrays; the rest are scalars. Cover beyond the budget is not
+    masked here (`slot_rate_curve` does that).
+
+    With chain = (s_ba, s_ca), the per-slot derivatives of ln c_ba and
+    ln c_ca in some variables x_ba and x_ca, the rate's partials in x_ba and
+    x_ca are returned as well; chain = (1, 1) gives the partials in the log
+    gains. The factors enter before the terms are summed, so a partial that
+    nearly cancels keeps the rounding of a direct evaluation.
+    """
+    q_c = np.asarray(q_c, dtype=float)
+    budget = q_b_max * g_bw
+    p_cw = c_cw * q_c
+    q_b = np.maximum(q_b_max - p_cw / g_bw, 0.0)
+    p_ba = c_ba * q_b
+    p_ca = c_ca * q_c
+    r_w = secmetrics.secrecy_redundancy(budget, np.minimum(p_cw, budget),
+                                        sigma_w2, eta_s)
+    r_s = np.maximum(r_t - r_w, 0.0)
+    num = p_ba - gamma_t * sigma_a2
+    live = p_ca > 0
+    # a vanishing interference sends the ratio to +inf (scp -> 1), the limit
+    # that is meant; gamma_t = 0 divides by zero and is settled below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(live, num / np.where(live, gamma_t * p_ca, 1.0), 0.0)
+        tail = np.where(live,
+                        np.exp(-gamma_c * sigma_a2 / np.where(live, p_ca, 1.0)),
+                        0.0)
+    scp = np.where(live,
+                   np.where(ratio > 0, -np.expm1(-np.maximum(ratio, 0.0)), 0.0),
+                   (num >= 0) * 1.0)
+    if gamma_t <= 0:
+        scp = np.ones_like(scp)
+    rate = kappa * scp * r_s + (1.0 - kappa) * scp * tail * r_c
+    if chain is None:
+        return H1Terms(q_b, p_ba, p_ca, p_cw, r_w, r_s, scp, tail, rate)
+    s_ba, s_ca = chain
+    # scp = 1 - exp(-ratio) with ratio = (p_ba - gamma_t sigma)/(gamma_t p_ca):
+    # d ratio / d ln c_ba = p_ba/(gamma_t p_ca), d ratio / d ln c_ca = -ratio
+    interior = live & (ratio > 0) & np.isfinite(ratio)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        damp = np.where(interior, np.exp(-np.where(interior, ratio, 0.0)), 0.0)
+        dscp_ba = damp * np.where(interior, s_ba * p_ba / (gamma_t * p_ca), 0.0)
+        dtail_ca = np.where(live, tail * (gamma_c * sigma_a2
+                                          / np.where(live, p_ca, 1.0)) * s_ca,
+                            0.0)
+        dscp_ca = damp * np.where(interior, -ratio * s_ca, 0.0)
+    w_cov = (1.0 - kappa) * r_c
+    d_ba = (kappa * r_s + w_cov * tail) * dscp_ba
+    d_ca = kappa * r_s * dscp_ca + w_cov * (tail * dscp_ca + scp * dtail_ca)
+    return H1Terms(q_b, p_ba, p_ca, p_cw, r_w, r_s, scp, tail, rate, d_ba, d_ca)
+
+
+class H0Terms(NamedTuple):
+    """Covert-silent slot model; d_ba is the rate's partial along the
+    requested chain factor (`h0_slot`)."""
+
+    r_w: float
+    r_s: float
+    scp: np.ndarray
+    rate: np.ndarray
+    d_ba: np.ndarray = None
+
+
+def h0_slot(p_ba, p_bw, sigma_a2, sigma_w2, gamma_t, eta_s, r_t, chain=None):
+    """Secret-only slot rate with the covert user silent.
+
+    The redundancy rate is the adversary's full-leakage capacity
+    log2(1 + p_bw/sigma_w2), raised to the outage-cap boundary whenever that
+    cap binds; the secret stream connects with the Rayleigh tail
+    exp(-gamma_t sigma_a2 / p_ba). p_bw is a scalar, p_ba may be an array.
+    With chain, the per-slot derivative of ln p_ba in some x, the rate's
+    partial in x is returned as well.
+    """
+    r_w = max(math.log2(1.0 + p_bw / sigma_w2),
+              secmetrics.redundancy_for_outage_cap(p_bw, sigma_w2, eta_s))
+    r_s = max(r_t - r_w, 0.0)
+    scp = np.exp(-gamma_t * sigma_a2 / p_ba)
+    rate = scp * r_s
+    if chain is None:
+        return H0Terms(r_w, r_s, scp, rate)
+    return H0Terms(r_w, r_s, scp, rate,
+                   rate * (gamma_t * sigma_a2 / p_ba) * chain)
 
 
 def radiometer_statistic(draws, scale):
@@ -170,21 +155,16 @@ def radiometer_statistic(draws, scale):
         raise ValueError("draws must be (trials, 2m) with m >= 1")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return _IMPLS[_ACTIVE]["radiometer_statistic"](draws, float(scale))
+    return (draws * draws).sum(axis=1) * (float(scale) / draws.shape[1])
 
 
 def slot_rate_curve(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
                     gamma_t, gamma_c, neg_ln_eta, kappa, r_t, r_c):
-    """Weighted slot rate over an array of covert transmit powers.
+    """Weighted slot rate (`h1_slot`) over an array of covert transmit powers.
 
-    Implements the coupled power bookkeeping: the covert cover received by
-    the adversary is carved out of the secret user's budget so the received
-    sum stays constant, the redundancy rate is the one holding the covered
-    secrecy outage at eta_s = exp(-neg_ln_eta)
-    (`secmetrics.secrecy_redundancy`, evaluated here in numpy for either
-    flavor), and the weighted sum of the secret and covert terms is
-    returned. Infeasible powers (cover exceeding the budget) map to -inf so
-    grid argmax skips them. Scalar q_c returns a scalar.
+    The outage cap is eta_s = exp(-neg_ln_eta). Infeasible powers (cover
+    exceeding the budget) map to -inf so grid argmax skips them. Scalar q_c
+    returns a scalar.
     """
     q = np.ascontiguousarray(np.atleast_1d(q_c), dtype=np.float64)
     if q.ndim != 1:
@@ -193,12 +173,9 @@ def slot_rate_curve(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
         raise ValueError("g_bw must be positive")
     if (q < 0).any():
         raise ValueError("q_c must be nonnegative")
-    budget = float(q_b_max) * float(g_bw)
-    r_w = secmetrics.secrecy_redundancy(
-        budget, np.minimum(float(c_cw) * q, budget), float(sigma_w2),
-        math.exp(-float(neg_ln_eta)))
-    out = _IMPLS[_ACTIVE]["slot_rate_curve"](
-        q, r_w, float(c_ba), float(c_ca), float(c_cw), float(g_bw),
-        float(q_b_max), float(sigma_a2), float(gamma_t), float(gamma_c),
-        float(kappa), float(r_t), float(r_c))
+    t = h1_slot(q, float(c_ba), float(c_ca), float(c_cw), float(g_bw),
+                float(q_b_max), float(sigma_a2), float(sigma_w2),
+                float(gamma_t), float(gamma_c), math.exp(-float(neg_ln_eta)),
+                float(kappa), float(r_t), float(r_c))
+    out = np.where(t.p_cw <= float(q_b_max) * float(g_bw), t.rate, -np.inf)
     return out if np.ndim(q_c) else float(out[0])

@@ -12,14 +12,13 @@ so the merged counts are order-independent and a parallel execution would
 reproduce the serial result.
 """
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, secmetrics
+from ._csvio import write_atomic_csv
 from .channel import rician_fading
 from .rng import make_rng
 
@@ -409,12 +408,7 @@ class AgreementRow:
 
 def write_agreement_csv(path, rows):
     """Write AgreementRows to CSV (atomic temp-plus-rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "closed_form", "mc_estimate", "ci",
-                         "samples", "seed"])
-        for row in rows:
-            writer.writerow([row.metric, row.closed_form, row.mc_estimate,
-                             row.ci, row.samples, row.seed])
-    os.replace(tmp, path)
+    write_atomic_csv(path, ("metric", "closed_form", "mc_estimate", "ci",
+                            "samples", "seed"),
+                     [[row.metric, row.closed_form, row.mc_estimate, row.ci,
+                       row.samples, row.seed] for row in rows])

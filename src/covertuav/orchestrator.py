@@ -11,15 +11,15 @@ Also here: the covert-user-silent benchmark, the weight-sweep frontier,
 and the fixed-beamformer baseline comparison.
 """
 
-import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import beamform, channel, scenario, trajectory
+from ._csvio import write_atomic_csv
 
 __all__ = [
     "BcdTrace", "run_bcd", "run_h0_benchmark", "run_sotfb",
@@ -217,36 +217,16 @@ def compare_sotfb(cfg, max_iters=50, tol=None):
 # ---------------------------------------------------------------------------
 # run artifacts
 
-def _atomic_rows(path, header, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
-
-
 def write_trace_csv(path, trace):
     """Objective per outer round (round 0 is the starting point)."""
-    _atomic_rows(path, ("iteration", "objective"),
-                 list(enumerate(trace.objectives)))
+    write_atomic_csv(path, ("iteration", "objective"),
+                     list(enumerate(trace.objectives)))
 
 
 def write_pareto_csv(path, rows):
-    _atomic_rows(path, ("kappa", "phi_s", "phi_c", "error"),
-                 [(r.kappa, r.phi_s, r.phi_c, r.error or "") for r in rows])
-
-
-def _decision_rows(decisions):
-    rows = []
-    for slot, d in enumerate(decisions):
-        if isinstance(d, beamform.H0Decision):
-            rows.append([slot, d.q_b, 0.0, 0.0, d.r_w, d.r_s,
-                         d.scp_h0, 0.0, d.rate])
-        else:
-            rows.append([slot, d.q_b, d.q_c, d.theta, d.r_w, d.r_s,
-                         d.scp_h1, d.ccp, d.rate])
-    return rows
+    write_atomic_csv(path, ("kappa", "phi_s", "phi_c", "error"),
+                     [(r.kappa, r.phi_s, r.phi_c, r.error or "")
+                      for r in rows])
 
 
 def write_run_artifacts(outdir, cfg, trace, pareto_rows=None):
@@ -254,10 +234,8 @@ def write_run_artifacts(outdir, cfg, trace, pareto_rows=None):
     snapshot, and (when given) pareto.csv under one directory."""
     os.makedirs(outdir, exist_ok=True)
     write_trace_csv(os.path.join(outdir, "trace.csv"), trace)
-    _atomic_rows(os.path.join(outdir, "beamformers.csv"),
-                 ("slot", "q_b", "q_c", "theta", "r_w", "r_s",
-                  "scp_h1", "ccp", "rate"),
-                 _decision_rows(trace.decisions))
+    beamform.write_decisions_csv(os.path.join(outdir, "beamformers.csv"),
+                                 trace.decisions)
     trajectory.write_plan_csv(os.path.join(outdir, "trajectory.csv"),
                               trace.plan)
     scenario.save_scenario(cfg, os.path.join(outdir, "config.yaml"))

@@ -9,14 +9,14 @@ Conventions: powers in watts, rates in bits per channel use, probabilities
 clamped to [0, 1]. Functions broadcast over numpy arrays.
 """
 
-import csv
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from ._csvio import write_atomic_csv
 
 __all__ = [
     "scp_h0", "scp_h1", "sop_h0", "sop_h1", "ccp",
@@ -41,7 +41,9 @@ def _exceed_prob(power, threshold_power):
     """Pr{X >= threshold_power} for X exponential with mean `power`."""
     power = np.asarray(power, dtype=float)
     threshold_power = np.asarray(threshold_power, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a threshold far above a tiny mean power overflows the ratio to +inf,
+    # which is the right limit: exp(-inf) = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.exp(-np.divide(threshold_power, power,
                                 out=np.full(np.broadcast(power, threshold_power).shape, np.inf),
                                 where=power > 0))
@@ -80,7 +82,9 @@ def scp_h1(p_ba, p_ca, sigma_a2, r_t):
     shape = np.broadcast(num, p_ca, gamma).shape
     num_b = np.broadcast_to(num, shape)
     den_b = np.broadcast_to(gamma * p_ca, shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a margin far above a tiny interference overflows the ratio to +inf,
+    # which is the right limit: -expm1(-inf) = 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.divide(num_b, den_b, out=np.full(shape, np.inf), where=den_b > 0)
     # den == 0 (no interference or gamma == 0): step indicator in num
     ratio = np.where(den_b > 0, ratio, np.where(num_b > 0, np.inf, -np.inf))
@@ -365,12 +369,7 @@ _REPORT_COLUMNS = ("slot", "scp_h0", "scp_h1", "sop_h0", "sop_h1", "ccp",
 
 def write_security_csv(path, reports):
     """Write one SecurityReport row per slot (atomic temp-plus-rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
-        for slot, rep in enumerate(reports):
-            writer.writerow([slot, rep.scp_h0, rep.scp_h1, rep.sop_h0,
-                             rep.sop_h1, rep.ccp, rep.p_f, rep.p_m, rep.p_e,
-                             rep.r_w, rep.r_s, rep.weighted_rate])
-    os.replace(tmp, path)
+    write_atomic_csv(path, _REPORT_COLUMNS, [
+        [slot, rep.scp_h0, rep.scp_h1, rep.sop_h0, rep.sop_h1, rep.ccp,
+         rep.p_f, rep.p_m, rep.p_e, rep.r_w, rep.r_s, rep.weighted_rate]
+        for slot, rep in enumerate(reports)])

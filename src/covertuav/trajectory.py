@@ -2,7 +2,9 @@
 
 The air-side gains depend on the drone's horizontal position only through
 the squared distances to the two ground users, so the slot rate becomes a
-smooth function R(mu_ba, mu_ca) of those slacks. Each refinement round
+smooth function R(mu_ba, mu_ca) of those slacks. The slot model and its
+partials in the log air gains come from `kernels`; here they are chained
+to the slacks. Each refinement round
 linearizes R at the current path (analytic partial derivatives), solves a
 concave quadratic subproblem over the acceleration profile — discrete
 kinematics, speed box, linearized minimum-speed bound, endpoint pins — with
@@ -15,14 +17,12 @@ for n = 0..N-1. Accelerations are the controls, one per slot (stored at
 nodes 1..N; node 0 carries a zero placeholder).
 """
 
-import csv
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, secmetrics
+from . import channel, kernels
+from ._csvio import write_atomic_csv
 
 __all__ = [
     "TrajectoryError", "TrajectoryPlan", "rebuild_from_accels",
@@ -171,91 +171,32 @@ def initial_plan(cfg):
 # ---------------------------------------------------------------------------
 # slot rate as a function of the slack distances
 
-def _ground_side(cfg, q_c):
-    """Position-independent quantities for covert powers q_c (array).
-
-    Returns (q_b, p_cw, r_s) per slot; the cover carved out at the adversary
-    fixes the secret user's power and the redundancy rate.
-    """
-    d_bw = math.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1])
-    d_cw = math.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1])
-    g_bw = cfg.n_b * channel.ground_large_scale(cfg, d_bw, cfg.xi_bw)
-    g_cw = cfg.n_c * channel.ground_large_scale(cfg, d_cw, cfg.xi_cw)
-    q_c = np.asarray(q_c, dtype=float)
-    p_cw = g_cw * q_c
-    budget = cfg.q_b_max_w * g_bw
-    q_b = np.maximum(cfg.q_b_max_w - p_cw / g_bw, 0.0)
-    r_w = secmetrics.secrecy_redundancy(budget, np.minimum(p_cw, budget),
-                                        cfg.sigma_w2_w, cfg.eta_s)
-    r_s = np.maximum(cfg.r_t - r_w, 0.0)
-    return q_b, p_cw, r_s
-
-
-def _air_gain(cfg, mu, xi, n_antennas):
-    """Isotropic received power per unit transmit power at slack mu."""
-    return n_antennas * cfg.lambda0 * (cfg.h_m ** 2 + mu) ** (xi / 2.0)
-
-
-def _h1_terms(mu_ba, mu_ca, q_c, cfg, want_grad):
-    """Weighted slot rate and its partials in the slacks (vectorized)."""
+def _slot_model(mu_ba, mu_ca, q_c, cfg, h0, grad):
+    """Slot rates at the slacks (`kernels.h1_slot`, or `kernels.h0_slot`
+    with h0) and, with grad, their partials in the slacks."""
     mu_ba = np.asarray(mu_ba, dtype=float)
     mu_ca = np.asarray(mu_ca, dtype=float)
-    q_c = np.asarray(q_c, dtype=float)
-    q_b, _, r_s = _ground_side(cfg, q_c)
-    p_ba = _air_gain(cfg, mu_ba, cfg.xi_ba, cfg.n_b) * q_b
-    p_ca = _air_gain(cfg, mu_ca, cfg.xi_ca, cfg.n_c) * q_c
-    gt, gc = cfg.gamma_t, cfg.gamma_c
-    sig = cfg.sigma_a2_w
-    num = p_ba - gt * sig
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a_exp = np.where(p_ca > 0, num / np.maximum(gt * p_ca, 1e-300), np.inf)
-        pos = np.asarray(a_exp > 0)
-        scp1 = np.where(pos, -np.expm1(-np.where(pos, a_exp, 1.0)), 0.0)
-        scp1 = np.where(p_ca > 0, scp1, (num >= 0).astype(float))
-        tail = np.where(p_ca > 0,
-                        np.exp(-gc * sig / np.maximum(p_ca, 1e-300)), 0.0)
-    rate = cfg.kappa * scp1 * r_s + (1.0 - cfg.kappa) * scp1 * tail * cfg.r_c
-    if not want_grad:
-        return rate, None, None
-
-    h2 = cfg.h_m ** 2
-    cf_ba = cfg.xi_ba / (2.0 * (h2 + mu_ba))
-    cf_ca = cfg.xi_ca / (2.0 * (h2 + mu_ca))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interior = pos & (p_ca > 0) & np.isfinite(a_exp)
-        damp = np.where(interior, np.exp(-np.where(interior, a_exp, 0.0)), 0.0)
-        da_dmu_ba = np.where(interior,
-                             cf_ba * p_ba / np.maximum(gt * p_ca, 1e-300), 0.0)
-        da_dmu_ca = np.where(interior, -a_exp * cf_ca, 0.0)
-        dscp_ba = damp * da_dmu_ba
-        dscp_ca = damp * da_dmu_ca
-        dtail_ca = np.where(p_ca > 0,
-                            tail * (gc * sig / np.maximum(p_ca, 1e-300)) * cf_ca,
-                            0.0)
-    w_cov = (1.0 - cfg.kappa) * cfg.r_c
-    d_ba = (cfg.kappa * r_s + w_cov * tail) * dscp_ba
-    d_ca = cfg.kappa * r_s * dscp_ca + w_cov * (tail * dscp_ca + scp1 * dtail_ca)
-    return rate, d_ba, d_ca
-
-
-def _h0_terms(mu_ba, cfg, want_grad):
-    """Secret-only slot rate (covert user silent) and its mu_ba partial."""
-    mu_ba = np.asarray(mu_ba, dtype=float)
-    d_bw = math.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1])
-    g_bw = cfg.n_b * channel.ground_large_scale(cfg, d_bw, cfg.xi_bw)
-    p_bw = cfg.q_b_max_w * g_bw
-    r_w = max(math.log2(1.0 + p_bw / cfg.sigma_w2_w),
-              secmetrics.redundancy_for_outage_cap(p_bw, cfg.sigma_w2_w, cfg.eta_s))
-    r_s = max(cfg.r_t - r_w, 0.0)
-    p_ba = _air_gain(cfg, mu_ba, cfg.xi_ba, cfg.n_b) * cfg.q_b_max_w
-    scp0 = np.exp(-cfg.gamma_t * cfg.sigma_a2_w / p_ba)
-    rate = scp0 * r_s
-    if not want_grad:
-        return rate, None, None
-    cf_ba = cfg.xi_ba / (2.0 * (cfg.h_m ** 2 + mu_ba))
-    d_ba = rate * (cfg.gamma_t * cfg.sigma_a2_w / p_ba) * cf_ba
-    return rate, d_ba, np.zeros_like(d_ba)
+    chain = None
+    if grad:
+        # the air gains go as (H^2 + mu)^(xi/2): d ln g / d mu = xi/(2(H^2 + mu))
+        h2 = cfg.h_m ** 2
+        chain = (cfg.xi_ba / (2.0 * (h2 + mu_ba)),
+                 cfg.xi_ca / (2.0 * (h2 + mu_ca)))
+    a2_bw, a2_cw = channel.ground_gains(cfg)
+    g_bw = cfg.n_b * a2_bw
+    g_ba = cfg.n_b * channel.air_large_scale(cfg, mu_ba, cfg.xi_ba)
+    if h0:
+        t = kernels.h0_slot(cfg.q_b_max_w * g_ba, cfg.q_b_max_w * g_bw,
+                            cfg.sigma_a2_w, cfg.sigma_w2_w, cfg.gamma_t,
+                            cfg.eta_s, cfg.r_t,
+                            chain=chain[0] if grad else None)
+        return t.rate, t.d_ba, (np.zeros_like(t.rate) if grad else None)
+    g_ca = cfg.n_c * channel.air_large_scale(cfg, mu_ca, cfg.xi_ca)
+    t = kernels.h1_slot(q_c, g_ba, g_ca, cfg.n_c * a2_cw, g_bw,
+                        cfg.q_b_max_w, cfg.sigma_a2_w, cfg.sigma_w2_w,
+                        cfg.gamma_t, cfg.gamma_c, cfg.eta_s, cfg.kappa,
+                        cfg.r_t, cfg.r_c, chain=chain)
+    return t.rate, t.d_ba, t.d_ca
 
 
 def rate_of_mu(mu_ba, mu_ca, q_c, cfg):
@@ -265,24 +206,16 @@ def rate_of_mu(mu_ba, mu_ca, q_c, cfg):
     """
     if np.any(np.asarray(mu_ba) < 0) or np.any(np.asarray(mu_ca) < 0):
         raise ValueError("slack distances must be >= 0")
-    rate, _, _ = _h1_terms(mu_ba, mu_ca, q_c, cfg, want_grad=False)
+    rate, _, _ = _slot_model(mu_ba, mu_ca, q_c, cfg, h0=False, grad=False)
     return rate if rate.ndim else float(rate)
-
-
-def _slot_rates(plan, q_c, cfg, h0):
-    mu_b = plan.mu_ba[:-1]
-    mu_c = plan.mu_ca[:-1]
-    if h0:
-        rate, _, _ = _h0_terms(mu_b, cfg, want_grad=False)
-    else:
-        rate, _, _ = _h1_terms(mu_b, mu_c, q_c, cfg, want_grad=False)
-    return rate
 
 
 def trajectory_objective(plan, q_c, cfg, h0=False):
     """Mean weighted rate over the plan's communication slots."""
     q = np.broadcast_to(np.asarray(q_c, dtype=float), (plan.n_slots,))
-    return float(np.mean(_slot_rates(plan, q, cfg, h0)))
+    rate, _, _ = _slot_model(plan.mu_ba[:-1], plan.mu_ca[:-1], q, cfg, h0,
+                             grad=False)
+    return float(np.mean(rate))
 
 
 @dataclass(frozen=True)
@@ -318,10 +251,7 @@ def linearize(plan_ref, q_c, cfg, h0=False):
     mu_b = plan_ref.mu_ba[:-1]
     mu_c = plan_ref.mu_ca[:-1]
     q = np.broadcast_to(np.asarray(q_c, dtype=float), (plan_ref.n_slots,))
-    if h0:
-        rate, d_ba, d_ca = _h0_terms(mu_b, cfg, want_grad=True)
-    else:
-        rate, d_ba, d_ca = _h1_terms(mu_b, mu_c, q, cfg, want_grad=True)
+    rate, d_ba, d_ca = _slot_model(mu_b, mu_c, q, cfg, h0, grad=True)
     return LinearizedObjective(mu_ba_ref=mu_b.copy(), mu_ca_ref=mu_c.copy(),
                                d_ba=d_ba, d_ca=d_ca,
                                const=float(np.mean(rate)))
@@ -639,11 +569,6 @@ def write_plan_csv(path, plan):
     """One row per plan node: position, speed, acceleration magnitude."""
     sp = plan.speeds()
     an = plan.accel_norms()
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PLAN_COLUMNS)
-        for k in range(plan.positions.shape[0]):
-            writer.writerow([k, plan.positions[k, 0], plan.positions[k, 1],
-                             sp[k], an[k]])
-    os.replace(tmp, path)
+    write_atomic_csv(path, _PLAN_COLUMNS, [
+        [k, plan.positions[k, 0], plan.positions[k, 1], sp[k], an[k]]
+        for k in range(plan.positions.shape[0])])

@@ -174,6 +174,11 @@ def test_rate_sweep_secret_power(cfg, tmp_path):
     assert 0 < i < len(arr) - 1
     assert arr["q_b"][i] == pytest.approx(0.1461, abs=2e-4)
     assert arr["rate"][i] == pytest.approx(2.584222327975583, rel=1e-9)
+    # the full-power end of the sweep is the covert-silent slot-0 design
+    plan = trajectory.initial_plan(cfg)
+    gains = channel.gains_for_positions(cfg, plan.comm_positions)
+    assert arr["q_b"][-1] == cfg.q_b_max_w
+    assert arr["rate"][-1] == beamform.h0_decision(cfg, gains, slot=0).rate
 
 
 def test_rate_sweep_is_deterministic(tmp_path):

@@ -82,12 +82,23 @@ def test_check_feasible_named_failures(cfg, plan0):
 
 # -- rate as a function of the slack distances ----------------------------------
 
-def test_rate_of_mu_matches_slot_objective(cfg, gains0):
-    """Identity between the geometry path and the gain-table path."""
+def test_rate_of_mu_matches_slot_objective(cfg, plan0, gains0):
+    """Identity between the geometry path and the gain-table path; at
+    seeded random slots the slack model, the power search's curve and the
+    packaged decision are one evaluation."""
     got = trajectory.rate_of_mu(130000.0, 62500.0, 5e-6, cfg)
     ref = beamform.slot_objective(5e-6, cfg, gains0, slot=0)
     assert got == pytest.approx(ref, rel=1e-12)
     assert got == pytest.approx(0.7729374073994921, rel=1e-9)
+
+    rng = np.random.default_rng(5)
+    for slot in map(int, rng.integers(0, plan0.n_slots, 24)):
+        env = beamform.slot_env(cfg, gains0, slot)
+        q = float(rng.uniform(0.0, env.q_c_feasible))
+        rate = trajectory.rate_of_mu(plan0.mu_ba[slot], plan0.mu_ca[slot], q,
+                                     cfg)
+        assert rate == env.rate(q)
+        assert rate == beamform.decision_at(cfg, gains0, q, slot=slot).rate
 
 
 def test_rate_of_mu_vanishes_far_away(cfg):
