@@ -335,8 +335,9 @@ def h0_decision(cfg, gains, slot=0):
     t = kernels.h0_slot(p_ba, p_bw, cfg.sigma_a2_w, cfg.sigma_w2_w,
                         cfg.gamma_t, cfg.eta_s, cfg.r_t)
     sop0 = secmetrics.sop_h0(p_bw, cfg.sigma_w2_w, t.r_w)
-    return H0Decision(q_b=cfg.q_b_max_w, r_w=t.r_w, r_s=t.r_s,
-                      scp_h0=float(t.scp), sop_h0=sop0, rate=float(t.rate))
+    return H0Decision(q_b=cfg.q_b_max_w, r_w=float(t.r_w),
+                      r_s=float(t.r_s), scp_h0=float(t.scp), sop_h0=sop0,
+                      rate=float(t.rate))
 
 
 @dataclass(frozen=True)

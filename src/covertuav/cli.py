@@ -207,9 +207,9 @@ def cmd_rate_vs_power(cfg, mode, outdir, num=10_001):
         return [name]
 
     grid = np.linspace(1e-6 * cfg.q_b_max_w, cfg.q_b_max_w, num)
-    rows = [(float(q_b), float(kernels.h0_slot(
-        q_b * env.c_ba, q_b * env.g_bw, env.sigma_a2, env.sigma_w2,
-        env.gamma_t, cfg.eta_s, env.r_t).rate)) for q_b in grid]
+    rate = kernels.h0_slot(grid * env.c_ba, grid * env.g_bw, env.sigma_a2,
+                           env.sigma_w2, env.gamma_t, cfg.eta_s, env.r_t).rate
+    rows = list(zip(grid.tolist(), rate.tolist()))
     write_atomic_csv(os.path.join(outdir, name), ("q_b", "rate"), rows)
     return [name]
 

@@ -115,8 +115,8 @@ class H0Terms(NamedTuple):
     """Covert-silent slot model; d_ba is the rate's partial along the
     requested chain factor (`h0_slot`)."""
 
-    r_w: float
-    r_s: float
+    r_w: np.ndarray
+    r_s: np.ndarray
     scp: np.ndarray
     rate: np.ndarray
     d_ba: np.ndarray = None
@@ -128,13 +128,14 @@ def h0_slot(p_ba, p_bw, sigma_a2, sigma_w2, gamma_t, eta_s, r_t, chain=None):
     The redundancy rate is the adversary's full-leakage capacity
     log2(1 + p_bw/sigma_w2), raised to the outage-cap boundary whenever that
     cap binds; the secret stream connects with the Rayleigh tail
-    exp(-gamma_t sigma_a2 / p_ba). p_bw is a scalar, p_ba may be an array.
-    With chain, the per-slot derivative of ln p_ba in some x, the rate's
-    partial in x is returned as well.
+    exp(-gamma_t sigma_a2 / p_ba). p_ba and p_bw may be arrays that
+    broadcast together. With chain, the per-slot derivative of ln p_ba in
+    some x, the rate's partial in x is returned as well.
     """
-    r_w = max(math.log2(1.0 + p_bw / sigma_w2),
-              secmetrics.redundancy_for_outage_cap(p_bw, sigma_w2, eta_s))
-    r_s = max(r_t - r_w, 0.0)
+    r_w = np.maximum(np.log2(1.0 + p_bw / sigma_w2),
+                     secmetrics.redundancy_for_outage_cap(p_bw, sigma_w2,
+                                                          eta_s))
+    r_s = np.maximum(r_t - r_w, 0.0)
     scp = np.exp(-gamma_t * sigma_a2 / p_ba)
     rate = scp * r_s
     if chain is None:

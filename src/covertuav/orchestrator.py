@@ -35,7 +35,8 @@ class BcdTrace:
     objectives[0] is the starting point's mean rate; one more entry lands
     per completed outer round. decisions holds the final per-slot designs
     and plan the final flight path. error is None unless a block failed, in
-    which case the last accepted iterate is returned with the message.
+    which case the last accepted iterate is returned with a message naming
+    the outer round and the block ("round 3, trajectory block: ...").
     """
 
     objectives: list
@@ -72,6 +73,11 @@ def _final_decisions(cfg, plan, q_c):
             for slot in range(plan.n_slots)]
 
 
+def _block_error(round_no, block, exc):
+    """BcdTrace.error text naming the outer round and block that failed."""
+    return f"round {round_no}, {block}: {type(exc).__name__}: {exc}"
+
+
 def run_bcd(cfg, max_iters=50, tol=None):
     """Alternate the two blocks until the mean weighted rate stalls."""
     if tol is None:
@@ -87,10 +93,12 @@ def run_bcd(cfg, max_iters=50, tol=None):
     try:
         for _ in range(max_iters):
             iterations += 1
+            block = "beamformer block"
             q_new, _ = _block_beamformers(cfg, plan)
             obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
             if obj_b >= obj:
                 q_c, obj = q_new, obj_b
+            block = "trajectory block"
             sca = trajectory.sca_trajectory(plan, q_c, cfg)
             obj_t = trajectory.trajectory_objective(sca.plan, q_c, cfg)
             if obj_t >= obj:
@@ -101,7 +109,7 @@ def run_bcd(cfg, max_iters=50, tol=None):
                 break
     except (beamform.CovertBudgetError, trajectory.TrajectoryError,
             np.linalg.LinAlgError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        error = _block_error(iterations, block, exc)
     decisions = _final_decisions(cfg, plan, q_c)
     return BcdTrace(objectives=objectives, decisions=decisions, plan=plan,
                     q_c=q_c, iterations=iterations,
@@ -137,7 +145,7 @@ def run_h0_benchmark(cfg, max_iters=50, tol=None):
                 converged = True
                 break
     except (trajectory.TrajectoryError, np.linalg.LinAlgError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        error = _block_error(iterations, "trajectory block", exc)
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
     decisions = [beamform.h0_decision(cfg, gains, slot=s)
                  for s in range(plan.n_slots)]

@@ -9,7 +9,11 @@ linearizes R at the current path (analytic partial derivatives), solves a
 concave quadratic subproblem over the acceleration profile — discrete
 kinematics, speed box, linearized minimum-speed bound, endpoint pins — with
 a self-contained log-barrier Newton method, then blends the step until the
-true objective does not decrease.
+true objective does not decrease. The Newton method runs over the stacked
+per-slot states (position, velocity, acceleration) with the kinematics as
+equality rows, so its KKT system is banded and each step costs O(N)
+(the interior-point layout of Wang & Boyd, "Fast Model Predictive Control
+Using Online Optimization", IEEE TCST 2010).
 
 Conventions: a plan holds N+1 nodes (0..N). Node 0 is the launch point,
 node N the landing point; the drone communicates during slot n from node n
@@ -20,6 +24,7 @@ nodes 1..N; node 0 carries a zero placeholder).
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channel, kernels
 from ._csvio import write_atomic_csv
@@ -258,20 +263,15 @@ def linearize(plan_ref, q_c, cfg, h0=False):
 
 
 # ---------------------------------------------------------------------------
-# convex subproblem: concave quadratic objective over acceleration profiles
+# convex subproblem: concave quadratic objective over stacked per-slot states
 
-def _kinematic_maps(cfg, n):
-    """Per-axis linear maps from the accel vector a[1..N] to v and L.
-
-    v[n] = v0 + (DV @ a)[n];  L[n] = L0 + n*dt*v0 + (DP @ a)[n], n = 1..N.
-    """
-    dt = cfg.delta_t
-    nn = np.arange(1, n + 1)[:, None]
-    kk = np.arange(1, n + 1)[None, :]
-    dv = dt * (kk <= nn).astype(float)
-    dp = dt * dt * np.where(kk < nn, nn - kk + 0.5,
-                            np.where(kk == nn, 0.5, 0.0))
-    return dv, dp
+def _rollout(accels, v0, l0, dt):
+    """Positions and velocities at nodes 1..N of per-slot accelerations
+    (N, 2)."""
+    v = np.cumsum(np.vstack([v0, accels * dt]), axis=0)
+    p = np.cumsum(np.vstack([l0, v[:-1] * dt + 0.5 * accels * dt * dt]),
+                  axis=0)
+    return p[1:], v[1:]
 
 
 def _equality_restore(x, a_mat, b_vec):
@@ -296,6 +296,48 @@ def _strictly_feasible_start(x0, a_mat, b_vec, g_fn):
         "subproblem initialization infeasible: no strictly interior start")
 
 
+def _kkt_band(n, n_pin, dt):
+    """Band layout of the stacked-state KKT matrix.
+
+    Node k = 1..N owns rows 10(k-1) + 0..3, the multipliers of its
+    kinematic rows p_k = p_{k-1} + dt v_{k-1} + dt^2/2 a_k and
+    v_k = v_{k-1} + dt a_k, then rows 10(k-1) + 4..9, its state
+    (p_k, v_k, a_k); the n_pin rows pinning node N come last. Returns the
+    half-bandwidth, the band storage holding the equality entries and the
+    (row, col) band indices of the three 2x2 Hessian blocks per node.
+    """
+    node = 10 * np.arange(n)
+    rows, cols, vals = [], [], []
+
+    def put(r, c, val):
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.full(np.shape(r), val))
+
+    for d in (0, 1):
+        rp, rv = node + d, node + 2 + d
+        put(rp, node + 4 + d, 1.0)
+        put(rp, node + 8 + d, -0.5 * dt * dt)
+        put(rp[1:], node[:-1] + 4 + d, -1.0)
+        put(rp[1:], node[:-1] + 6 + d, -dt)
+        put(rv, node + 6 + d, 1.0)
+        put(rv, node + 8 + d, -dt)
+        put(rv[1:], node[:-1] + 6 + d, -1.0)
+        for pin in range(d, n_pin, 2):    # landing position, then speed
+            put(np.array([10 * n + pin]),
+                np.array([10 * (n - 1) + 4 + 2 * (pin // 2) + d]), 1.0)
+    r, c, val = (np.concatenate(x) for x in (rows, cols, vals))
+    half = int(np.max(np.abs(r - c)))
+    band = np.zeros((2 * half + 1, 10 * n + n_pin))
+    band[half + r - c, c] = val
+    band[half + c - r, r] = val
+    d1 = np.array([[0, 0], [1, 1]])
+    h_rows = half + d1 - d1.T
+    h_cols = node[:, None, None, None] + 4 + 2 * np.arange(3)[:, None, None] \
+        + d1.T
+    return half, band, (np.broadcast_to(h_rows, h_cols.shape), h_cols)
+
+
 def solve_subproblem(lin, plan_ref, cfg):
     """Maximize the linearized mean rate over feasible acceleration profiles.
 
@@ -304,18 +346,23 @@ def solve_subproblem(lin, plan_ref, cfg):
     d*||L - L_user||^2; slots with positive derivative contribute the affine
     minorant of that quadratic anchored at the reference positions, which
     keeps the program concave while preserving the fixed-point condition.
-    Constraints: discrete kinematics (exact, by construction), endpoint pin,
-    terminal-speed pin (direction taken from the reference plan), speed box
-    with the minimum-speed bound linearized at the reference velocities, and
-    the acceleration cap. Solved by a log-barrier Newton method (KKT
-    residual <= 1e-6 scaled, relative gap <= 1e-7).
+    Constraints: discrete kinematics, endpoint pin, terminal-speed pin
+    (direction taken from the reference plan), speed box with the
+    minimum-speed bound linearized at the reference velocities, and the
+    acceleration cap. Solved by a log-barrier Newton method (relative gap
+    <= 1e-7) over the stacked per-slot states (p_k, v_k, a_k), with the
+    kinematics as equality rows; the KKT system is then banded and each
+    Newton step costs O(N). The returned plan is the exact rollout of the
+    solution's accelerations.
     """
+    from scipy.linalg import solve_banded   # only planning runs pay its import
+
     n = plan_ref.n_slots
     dt = cfg.delta_t
     l0 = plan_ref.positions[0]
     v0 = plan_ref.velocities[0]
-    dv, dp = _kinematic_maps(cfg, n)
-    base_l = l0[None, :] + np.arange(1, n + 1)[:, None] * dt * v0[None, :]
+    l_end = np.asarray(cfg.l_end, dtype=float)
+    base_l = l0 + np.arange(1, n + 1)[:, None] * dt * v0
 
     pin_speed = cfg.v_end is not None
     vr = plan_ref.velocities[1:]                     # (N, 2) reference speeds
@@ -323,178 +370,163 @@ def solve_subproblem(lin, plan_ref, cfg):
         d_term = vr[-1] / np.linalg.norm(vr[-1])
         v_target = cfg.v_end * d_term
 
-    # objective pieces: two ground terms per communication slot n = 1..N-1
-    rows, weights, points, exact = [], [], [], []
-    for d_arr, pnt in ((lin.d_ba, np.asarray(cfg.l_b, float)),
-                       (lin.d_ca, np.asarray(cfg.l_c, float))):
-        for slot in range(1, n):
-            d = float(d_arr[slot])
-            if d == 0.0:
-                continue
-            rows.append(slot - 1)     # row index into dp (maps node slot)
-            weights.append(d / n)
-            points.append(pnt)
-            exact.append(d <= 0.0)
-    rows = np.asarray(rows, dtype=int)
-    weights = np.asarray(weights, dtype=float)
-    points = (np.asarray(points, dtype=float)
-              if points else np.zeros((0, 2)))
-    exact = np.asarray(exact, dtype=bool)
-    dp_rows = dp[rows] if rows.size else np.zeros((0, n))
-    base_rows = base_l[rows] if rows.size else np.zeros((0, 2))
-    ref_l = plan_ref.positions[1:][rows] if rows.size else np.zeros((0, 2))
+    # objective: node k = 1..N-1 carries slot k's two ground terms, weight d/N;
+    # negative weights keep the exact quadratic, positive ones the affine
+    # minorant with slope 2w(Lr - P) at the reference positions
+    points = np.array([cfg.l_b, cfg.l_c], dtype=float)
+    w = np.zeros((2, n))
+    w[0, :-1] = lin.d_ba[1:] / n
+    w[1, :-1] = lin.d_ca[1:] / n
+    w_neg = np.minimum(w, 0.0)
+    w_pos = np.maximum(w, 0.0)
+    ref_l = plan_ref.positions[1:]
+    slope = 2.0 * (w_pos[0, :, None] * (ref_l - points[0])
+                   + w_pos[1, :, None] * (ref_l - points[1]))
+    hess_p = 2.0 * (w_neg[0] + w_neg[1])             # f's curvature on p_k
 
-    neg = exact
-    pos = ~exact
-    w_neg = weights[neg]
-    dp_neg = dp_rows[neg]
-    pts_neg = points[neg]
-    base_neg = base_rows[neg]
-    # affine minorant slope for positive-derivative terms: 2w(Lr - P)
-    if np.any(pos):
-        slope = 2.0 * weights[pos, None] * (ref_l[pos] - points[pos])
-        c_aff = dp_rows[pos].T @ slope          # (N, 2) per-axis linear term
-    else:
-        c_aff = np.zeros((n, 2))
+    def f_obj(p):
+        return float(np.sum(slope * (p - base_l))
+                     + w_neg[0] @ np.sum((p - points[0]) ** 2, axis=1)
+                     + w_neg[1] @ np.sum((p - points[1]) ** 2, axis=1))
 
-    h_axis = 2.0 * (dp_neg.T * w_neg) @ dp_neg if w_neg.size else np.zeros((n, n))
-
-    def split(x):
-        return x[:n], x[n:]
-
-    def f_obj(x):
-        ax, ay = split(x)
-        val = float(c_aff[:, 0] @ ax + c_aff[:, 1] @ ay)
-        if w_neg.size:
-            lx = base_neg[:, 0] + dp_neg @ ax
-            ly = base_neg[:, 1] + dp_neg @ ay
-            val += float(w_neg @ ((lx - pts_neg[:, 0]) ** 2
-                                  + (ly - pts_neg[:, 1]) ** 2))
-        return val
-
-    def grad_f(x):
-        ax, ay = split(x)
-        gx = c_aff[:, 0].copy()
-        gy = c_aff[:, 1].copy()
-        if w_neg.size:
-            lx = base_neg[:, 0] + dp_neg @ ax
-            ly = base_neg[:, 1] + dp_neg @ ay
-            gx += 2.0 * dp_neg.T @ (w_neg * (lx - pts_neg[:, 0]))
-            gy += 2.0 * dp_neg.T @ (w_neg * (ly - pts_neg[:, 1]))
-        return np.concatenate([gx, gy])
-
-    hess_f = np.zeros((2 * n, 2 * n))
-    hess_f[:n, :n] = h_axis
-    hess_f[n:, n:] = h_axis
-
-    # equality rows: landing position, optional terminal velocity
-    a_rows = [np.concatenate([dp[-1], np.zeros(n)]),
-              np.concatenate([np.zeros(n), dp[-1]])]
-    b_vals = [cfg.l_end[0] - base_l[-1, 0], cfg.l_end[1] - base_l[-1, 1]]
-    if pin_speed:
-        a_rows.append(np.concatenate([dv[-1], np.zeros(n)]))
-        a_rows.append(np.concatenate([np.zeros(n), dv[-1]]))
-        b_vals.extend([v_target[0] - v0[0], v_target[1] - v0[1]])
-    a_mat = np.vstack(a_rows)
-    b_vec = np.asarray(b_vals, dtype=float)
+    def grad_f(p):
+        return slope + 2.0 * (w_neg[0, :, None] * (p - points[0])
+                              + w_neg[1, :, None] * (p - points[1]))
 
     # inequality margins; terminal node skips the speed box when pinned
     box = n - 1 if pin_speed else n
+    vr_box = vr[:box]
+    vr_sq = np.sum(vr_box ** 2, axis=1)
 
-    def velocities_of(x):
-        ax, ay = split(x)
-        return np.stack([v0[0] + dv @ ax, v0[1] + dv @ ay], axis=1)
+    def g_margins(v, a):
+        vb = v[:box]
+        return np.concatenate([
+            cfg.v_max ** 2 - np.sum(vb ** 2, axis=1),
+            2.0 * np.sum(vr_box * vb, axis=1) - vr_sq - cfg.v_min ** 2,
+            cfg.a_max ** 2 - np.sum(a ** 2, axis=1)])
 
-    def g_margins(x):
-        ax, ay = split(x)
-        v = velocities_of(x)
-        g_vmax = cfg.v_max ** 2 - np.sum(v[:box] ** 2, axis=1)
-        g_vmin = (2.0 * np.sum(vr[:box] * v[:box], axis=1)
-                  - np.sum(vr[:box] ** 2, axis=1) - cfg.v_min ** 2)
-        g_amax = cfg.a_max ** 2 - ax ** 2 - ay ** 2
-        return np.concatenate([g_vmax, g_vmin, g_amax])
+    # the pins on the acceleration vector x = (a_x, a_y): the last rows of
+    # the kinematic maps, p_N = L0 + N dt v0 + sum_k dt^2 (N - k + 1/2) a_k
+    # and v_N = v0 + sum_k dt a_k
+    k = np.arange(1, n + 1)
+    pin_rows = [dt * dt * (n - k + 0.5)] + ([np.full(n, dt)] if pin_speed
+                                            else [])
+    zero = np.zeros(n)
+    a_mat = np.vstack([np.concatenate(pair) for row in pin_rows
+                       for pair in ((row, zero), (zero, row))])
+    b_vec = np.concatenate([l_end - base_l[-1]]
+                           + ([v_target - v0] if pin_speed else []))
 
-    def g_jacobian(x):
-        ax, ay = split(x)
-        v = velocities_of(x)
-        jac = np.zeros((2 * box + n, 2 * n))
-        jac[:box, :n] = -2.0 * v[:box, 0:1] * dv[:box]
-        jac[:box, n:] = -2.0 * v[:box, 1:2] * dv[:box]
-        jac[box:2 * box, :n] = 2.0 * vr[:box, 0:1] * dv[:box]
-        jac[box:2 * box, n:] = 2.0 * vr[:box, 1:2] * dv[:box]
-        idx = np.arange(n)
-        jac[2 * box + idx, idx] = -2.0 * ax
-        jac[2 * box + idx, n + idx] = -2.0 * ay
-        return jac
+    def accels_of(x):
+        return x.reshape(2, n).T
 
-    dv_box = dv[:box]
-    vmax_curv = 2.0 * dv_box.T  # reused in the Hessian assembly
+    def g_of_accels(x):
+        a = accels_of(x)
+        return g_margins(_rollout(a, v0, l0, dt)[1], a)
 
-    x0 = np.concatenate([plan_ref.accelerations[1:, 0],
-                         plan_ref.accelerations[1:, 1]])
-    x = _strictly_feasible_start(x0, a_mat, b_vec, g_margins)
+    x = _strictly_feasible_start(plan_ref.accelerations[1:].T.ravel(),
+                                 a_mat, b_vec, g_of_accels)
+    a = accels_of(x)
+    z = np.hstack([*_rollout(a, v0, l0, dt), a])     # (N, 6): p, v, a
+
+    n_pin = a_mat.shape[0]
+    half, band0, h_index = _kkt_band(n, n_pin, dt)
+    dim = 10 * n + n_pin
+    scale_pad = np.ones(dim + 2 * half)
+    # band entry (k, j) sits in matrix row j + k - half: its row's scale
+    row_scale = sliding_window_view(scale_pad, dim)
+
+    def newton_solve(hess, rhs):
+        band = band0.copy()
+        band[h_index] = hess
+        # symmetric scaling by the Hessian diagonal keeps the kinematic and
+        # pin rows exact to roundoff once the barrier curvature reaches 1e12
+        scale = 1.0 / np.sqrt(np.maximum(np.abs(band[half]), 1.0))
+        scale_pad[half:half + dim] = scale
+        band *= scale * row_scale
+        return scale * solve_banded((half, half), band, scale * rhs,
+                                    overwrite_ab=True, check_finite=False)
+
+    rhs = np.empty(dim)
+    rhs_nodes = rhs[:10 * n].reshape(n, 10)
+    eye = np.eye(2)
 
     m_ineq = 2 * box + n
-    f0 = f_obj(x)
+    f0 = f_obj(z[:, :2])
     t = max(1.0, m_ineq / (0.1 * max(1.0, abs(f0))))
 
     for _ in range(64):
         for _ in range(60):
-            g = g_margins(x)
-            jac = g_jacobian(x)
-            inv_g = 1.0 / g
-            grad = -t * grad_f(x) - jac.T @ inv_g
-            hess = -t * hess_f + (jac.T * inv_g ** 2) @ jac
-            curv = vmax_curv @ (inv_g[:box, None] * dv_box)
-            hess[:n, :n] += curv
-            hess[n:, n:] += curv
-            diag = 2.0 * inv_g[2 * box:]
-            hess[np.arange(n), np.arange(n)] += diag
-            hess[np.arange(n, 2 * n), np.arange(n, 2 * n)] += diag
+            p, v, a = z[:, :2], z[:, 2:4], z[:, 4:]
+            g = g_margins(v, a)
+            inv_vmax = 1.0 / g[:box, None]
+            inv_vmin = 1.0 / g[box:2 * box, None]
+            inv_amax = 1.0 / g[2 * box:, None]
+            grad = np.zeros((n, 6))
+            hess = np.zeros((n, 3, 2, 2))            # p, v, a blocks per node
+            grad[:, :2] = -t * grad_f(p)
+            grad[:box, 2:4] = (2.0 * v[:box] * inv_vmax
+                               - 2.0 * vr_box * inv_vmin)
+            grad[:, 4:] = 2.0 * a * inv_amax
+            hess[:, 0] = (-t * hess_p)[:, None, None] * eye
+            hess[:box, 1] = (4.0 * (v[:box, :, None] * v[:box, None, :])
+                             * inv_vmax[:, :, None] ** 2
+                             + 2.0 * inv_vmax[:, :, None] * eye
+                             + 4.0 * (vr_box[:, :, None] * vr_box[:, None, :])
+                             * inv_vmin[:, :, None] ** 2)
+            hess[:, 2] = (4.0 * (a[:, :, None] * a[:, None, :])
+                          * inv_amax[:, :, None] ** 2
+                          + 2.0 * inv_amax[:, :, None] * eye)
 
-            kkt = np.block([[hess, a_mat.T],
-                            [a_mat, np.zeros((a_mat.shape[0],) * 2)]])
-            # the equality residual rides along (infeasible-start Newton),
-            # so solve errors of the ill-conditioned late barrier stages
-            # cannot accumulate into a missed landing point
-            rhs = np.concatenate([-grad, b_vec - a_mat @ x])
+            rhs_nodes[:, 4:] = -grad
+            # the kinematic and pin residuals ride along (infeasible-start
+            # Newton), so solve errors of the ill-conditioned late barrier
+            # stages cannot accumulate into a missed landing point
+            p_prev = np.vstack([l0, p[:-1]])
+            v_prev = np.vstack([v0, v[:-1]])
+            rhs_nodes[:, :2] = p_prev + dt * v_prev + 0.5 * dt * dt * a - p
+            rhs_nodes[:, 2:4] = v_prev + dt * a - v
+            rhs[10 * n:10 * n + 2] = l_end - p[-1]
+            if pin_speed:
+                rhs[10 * n + 2:] = v_target - v[-1]
+
             try:
-                sol = np.linalg.solve(kkt, rhs)
+                sol = newton_solve(hess, rhs)
             except np.linalg.LinAlgError:
-                hess[np.arange(2 * n), np.arange(2 * n)] += 1e-10 * np.trace(hess) / (2 * n)
-                kkt = np.block([[hess, a_mat.T],
-                                [a_mat, np.zeros((a_mat.shape[0],) * 2)]])
-                sol = np.linalg.solve(kkt, rhs)
-            dx = sol[:2 * n]
-            decrement2 = float(-grad @ dx)
+                diag = hess[:, :, [0, 1], [0, 1]]
+                hess[:, :, [0, 1], [0, 1]] += 1e-10 * diag.sum() / (6 * n)
+                sol = newton_solve(hess, rhs)
+            dz = sol[:10 * n].reshape(n, 10)[:, 4:]
+            decrement2 = float(-np.sum(grad * dz))
             if decrement2 <= 1e-12 * max(1.0, abs(t * f0)):
                 break
             step = 1.0
             for _ in range(80):
-                if np.min(g_margins(x + step * dx)) > 0:
+                zn = z + step * dz
+                if np.min(g_margins(zn[:, 2:4], zn[:, 4:])) > 0:
                     break
                 step *= 0.7
             else:
                 break
-            psi = -t * f_obj(x) - float(np.sum(np.log(g)))
+            psi = -t * f_obj(p) - float(np.sum(np.log(g)))
             for _ in range(60):
-                xn = x + step * dx
-                gn = g_margins(xn)
-                psin = -t * f_obj(xn) - float(np.sum(np.log(gn)))
+                zn = z + step * dz
+                gn = g_margins(zn[:, 2:4], zn[:, 4:])
+                psin = -t * f_obj(zn[:, :2]) - float(np.sum(np.log(gn)))
                 if psin <= psi - 0.25 * step * decrement2:
                     break
                 step *= 0.5
-            x = x + step * dx
-        if m_ineq / t <= 1e-7 * max(1.0, abs(f_obj(x))):
+            z = z + step * dz
+        if m_ineq / t <= 1e-7 * max(1.0, abs(f_obj(z[:, :2]))):
             break
         t *= 20.0
 
     # squeeze out linear-algebra drift so endpoint pins hold to roundoff
+    x = z[:, 4:].T.ravel()
     x_snap = _equality_restore(x, a_mat, b_vec)
-    if np.min(g_margins(x_snap)) > 0:
+    if np.min(g_of_accels(x_snap)) > 0:
         x = x_snap
-    accels = np.stack(split(x), axis=1)
-    return rebuild_from_accels(cfg, accels, v0, l0)
+    return rebuild_from_accels(cfg, accels_of(x), v0, l0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temp output directories."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -179,6 +180,18 @@ def test_rate_sweep_secret_power(cfg, tmp_path):
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
     assert arr["q_b"][-1] == cfg.q_b_max_w
     assert arr["rate"][-1] == beamform.h0_decision(cfg, gains, slot=0).rate
+    # seeded grid points against the covert-silent rule written out per
+    # point in scalar math (the sweep evaluates it as one array call)
+    env = beamform.slot_env(cfg, gains, 0)
+    rng = np.random.default_rng(11)
+    for i in rng.choice(len(arr), 20, replace=False):
+        q_b = float(arr["q_b"][i])
+        leak = q_b * env.g_bw / env.sigma_w2
+        r_w = max(math.log2(1.0 + leak),
+                  math.log2(1.0 - math.log(cfg.eta_s) * leak))
+        want = (math.exp(-env.gamma_t * env.sigma_a2 / (q_b * env.c_ba))
+                * max(env.r_t - r_w, 0.0))
+        assert arr["rate"][i] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_rate_sweep_is_deterministic(tmp_path):

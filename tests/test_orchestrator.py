@@ -40,6 +40,60 @@ def test_bcd_canonical_run(cfg, bcd_canonical):
     assert trace.wall_time > 0
 
 
+def _failing_on_call(monkeypatch, module, name, fail_at, exc):
+    """Patch module.name to count its calls and raise exc on the
+    fail_at-th (1-based; None never raises); returns the call list."""
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+    return calls
+
+
+def test_failed_block_is_named_with_its_round(cfg, monkeypatch):
+    """A block that raises ends the run with the last accepted iterate and
+    an error naming the outer round and the block."""
+    with monkeypatch.context() as m:
+        calls = _failing_on_call(m, trajectory, "solve_subproblem", None,
+                                 None)
+        one_round = orchestrator.run_bcd(cfg, max_iters=1, tol=0.0)
+    calls_in_round_1 = len(calls)
+
+    with monkeypatch.context() as m:
+        _failing_on_call(m, trajectory, "solve_subproblem",
+                         calls_in_round_1 + 1,
+                         trajectory.TrajectoryError("injected"))
+        trace = orchestrator.run_bcd(cfg, max_iters=3, tol=0.0)
+    assert trace.error == ("round 2, trajectory block: "
+                           "TrajectoryError: injected")
+    assert trace.objectives == one_round.objectives
+    assert np.array_equal(trace.plan.positions, one_round.plan.positions)
+    trace.plan.check_feasible(cfg)
+
+    with monkeypatch.context() as m:
+        _failing_on_call(m, beamform, "bsa_optimize", 1,
+                         beamform.CovertBudgetError("injected"))
+        trace = orchestrator.run_bcd(cfg, max_iters=3, tol=0.0)
+    assert trace.error.startswith("round 1, beamformer block: "
+                                  "CovertBudgetError")
+    assert np.array_equal(trace.plan.positions,
+                          trajectory.initial_plan(cfg).positions)
+
+    with monkeypatch.context() as m:
+        _failing_on_call(m, trajectory, "solve_subproblem", 1,
+                         trajectory.TrajectoryError("injected"))
+        trace = orchestrator.run_h0_benchmark(cfg, max_iters=3, tol=0.0)
+    assert trace.error == ("round 1, trajectory block: "
+                           "TrajectoryError: injected")
+    assert len(trace.objectives) == 1
+
+
 def test_bcd_design_holds_the_secrecy_outage_cap(cfg, bcd_canonical):
     """Every slot's covered secrecy outage at its own r_w stays at eta_s,
     and a simulation fading both the leakage and the cover agrees."""

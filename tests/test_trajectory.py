@@ -3,6 +3,7 @@ successive convex refinement loop."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from covertuav import beamform, channel, trajectory
 from covertuav.scenario import bundled_scenario, with_overrides
@@ -295,6 +296,128 @@ def test_subproblem_matches_midpoint_grid_oracle():
     assert np.linalg.norm(sol.positions[1] - best) < 1.0
     sub_val = lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1])
     assert sub_val >= float(np.max(vals)) - 1e-6
+
+
+def _slsqp_subproblem(lin, plan, cfg):
+    """The subproblem posed from scratch over the accelerations and solved
+    by SLSQP; returns (best model value, its positions, max violation)."""
+    n, dt = plan.n_slots, cfg.delta_t
+    l0, v0 = plan.positions[0], plan.velocities[0]
+
+    def rollout(x):
+        a = x.reshape(n, 2)
+        p, v = [l0], [v0]
+        for k in range(n):
+            p.append(p[-1] + dt * v[-1] + 0.5 * dt * dt * a[k])
+            v.append(v[-1] + dt * a[k])
+        return np.array(p[1:]), np.array(v[1:])
+
+    # the rollout is affine in x, so unit steps give its exact Jacobians
+    p_base, v_base = rollout(np.zeros(2 * n))
+    steps = [rollout(e) for e in np.eye(2 * n)]
+    jac_p = np.stack([p - p_base for p, _ in steps], axis=-1)   # (n, 2, 2n)
+    jac_v = np.stack([v - v_base for _, v in steps], axis=-1)
+
+    # (node, weight, user): an exact squared distance where the weight is
+    # negative, its tangent at the reference position where positive
+    terms = [(s, d[s] / n, np.asarray(pt, dtype=float))
+             for d, pt in ((lin.d_ba, cfg.l_b), (lin.d_ca, cfg.l_c))
+             for s in range(1, n)]
+
+    def model(x):
+        p, _ = rollout(x)
+        val = lin.const
+        for s, w, pt in terms:
+            lr, ref = plan.positions[s], np.sum((plan.positions[s] - pt) ** 2)
+            mu = (np.sum((p[s - 1] - pt) ** 2) if w < 0
+                  else ref + 2 * (lr - pt) @ (p[s - 1] - lr))
+            val += w * (mu - ref)
+        return val
+
+    def model_grad(x):
+        p, _ = rollout(x)
+        return sum(2 * w * ((p[s - 1] if w < 0 else plan.positions[s]) - pt)
+                   @ jac_p[s - 1] for s, w, pt in terms)
+
+    vr = plan.velocities[1:]
+    box = n - 1 if cfg.v_end is not None else n
+
+    def ineq(x):
+        v = rollout(x)[1][:box]
+        return np.concatenate([
+            cfg.v_max ** 2 - np.sum(v ** 2, axis=1),
+            2 * np.sum(vr[:box] * v, axis=1) - np.sum(vr[:box] ** 2, axis=1)
+            - cfg.v_min ** 2,
+            cfg.a_max ** 2 - np.sum(x.reshape(n, 2) ** 2, axis=1)])
+
+    def ineq_jac(x):
+        v = rollout(x)[1][:box]
+        jac_a = np.zeros((n, 2 * n))
+        jac_a[np.arange(n), 2 * np.arange(n)] = -2 * x[0::2]
+        jac_a[np.arange(n), 2 * np.arange(n) + 1] = -2 * x[1::2]
+        return np.vstack([-2 * np.einsum("kd,kdj->kj", v, jac_v[:box]),
+                          2 * np.einsum("kd,kdj->kj", vr[:box], jac_v[:box]),
+                          jac_a])
+
+    pins = [(jac_p[-1], lambda p, v: p[-1] - np.asarray(cfg.l_end))]
+    if cfg.v_end is not None:
+        v_target = cfg.v_end * vr[-1] / np.linalg.norm(vr[-1])
+        pins.append((jac_v[-1], lambda p, v: v[-1] - v_target))
+
+    def eq(x):
+        p, v = rollout(x)
+        return np.concatenate([res(p, v) for _, res in pins])
+
+    # the model's weights are ~1e-5; rescaling keeps SLSQP's steps sane
+    scale = 1.0 / max(abs(w) for _, w, _ in terms)
+    res = minimize(lambda x: -scale * model(x), plan.accelerations[1:].ravel(),
+                   jac=lambda x: -scale * model_grad(x), method="SLSQP",
+                   constraints=[
+                       {"type": "ineq", "fun": ineq, "jac": ineq_jac},
+                       {"type": "eq", "fun": eq,
+                        "jac": lambda x: np.vstack([j for j, _ in pins])}],
+                   options={"ftol": 1e-12, "maxiter": 500})
+    violation = max(-float(np.min(ineq(res.x))),
+                    float(np.max(np.abs(eq(res.x)))))
+    return model(res.x), model, violation
+
+
+@pytest.mark.parametrize("v_end", [4.0, None], ids=["pinned", "free"])
+def test_subproblem_matches_slsqp_on_six_slots(v_end):
+    """Six slots, mixed-sign derivatives (exact quadratics and tangent
+    minorants both present): the barrier solver's model value agrees with
+    an independent SLSQP solve of the same program."""
+    cfg = with_overrides(
+        bundled_scenario(), n_slots=6, t_s=30.0, l_start=(0.0, 0.0),
+        l_end=(120.0, 0.0), v_start=4.0, v_end=v_end, l_b=(40.0, 60.0),
+        l_c=(70.0, -50.0))
+    plan = trajectory.initial_plan(cfg)
+    lin = trajectory.linearize(plan, np.full(6, Q_STAR), cfg)
+    assert np.all(lin.d_ba < 0) and np.all(lin.d_ca < 0)
+    lin = trajectory.LinearizedObjective(
+        lin.mu_ba_ref, lin.mu_ca_ref, lin.d_ba,
+        lin.d_ca * np.array([3.0, -3.0, 3.0, -3.0, 3.0, -3.0]), lin.const)
+    best, model, violation = _slsqp_subproblem(lin, plan, cfg)
+    # SLSQP holds the squared speed and acceleration bounds (v_max^2 = 400,
+    # a_max^2 = 100) to about 1e-5
+    assert violation <= 1e-4
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    assert model(sol.accelerations[1:].ravel()) == pytest.approx(best,
+                                                                 abs=1e-6)
+
+
+@pytest.mark.parametrize("h0", [False, True], ids=["h1", "h0"])
+def test_subproblem_on_a_thousand_slots(h0):
+    """A horizon of 1000 slots (dt = 0.13 s), which dense KKT algebra
+    could not afford: the plan is feasible and the model does not drop."""
+    cfg = with_overrides(bundled_scenario(), n_slots=1000)
+    plan = trajectory.initial_plan(cfg)
+    lin = trajectory.linearize(plan, 0.0 if h0 else Q_STAR, cfg, h0=h0)
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    before = lin.value(plan.mu_ba[:-1], plan.mu_ca[:-1])
+    assert lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1]) >= before - 1e-9
 
 
 # -- successive refinement -------------------------------------------------------
