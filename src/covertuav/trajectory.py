@@ -113,18 +113,19 @@ class TrajectoryPlan:
             raise TrajectoryError("slack below the squared distance it relaxes")
 
 
+def _rollout(accels, v0, l0, dt):
+    """Positions and velocities at nodes 0..N of per-slot accelerations
+    (N, 2) flown from l0 at v0."""
+    v = np.cumsum(np.vstack([v0, accels * dt]), axis=0)
+    p = np.cumsum(np.vstack([l0, v[:-1] * dt + 0.5 * accels * dt * dt]),
+                  axis=0)
+    return p, v
+
+
 def rebuild_from_accels(cfg, accels, v0, l0):
     """Exact kinematic rollout of per-slot accelerations (N, 2)."""
     a = np.asarray(accels, dtype=float).reshape(-1, 2)
-    n = a.shape[0]
-    dt = cfg.delta_t
-    v = np.empty((n + 1, 2))
-    p = np.empty((n + 1, 2))
-    v[0] = v0
-    p[0] = l0
-    for k in range(n):
-        p[k + 1] = p[k] + v[k] * dt + 0.5 * a[k] * dt * dt
-        v[k + 1] = v[k] + a[k] * dt
+    p, v = _rollout(a, v0, l0, cfg.delta_t)
     acc = np.vstack([np.zeros(2), a])
     return TrajectoryPlan(
         positions=p, velocities=v, accelerations=acc,
@@ -264,15 +265,6 @@ def linearize(plan_ref, q_c, cfg, h0=False):
 
 # ---------------------------------------------------------------------------
 # convex subproblem: concave quadratic objective over stacked per-slot states
-
-def _rollout(accels, v0, l0, dt):
-    """Positions and velocities at nodes 1..N of per-slot accelerations
-    (N, 2)."""
-    v = np.cumsum(np.vstack([v0, accels * dt]), axis=0)
-    p = np.cumsum(np.vstack([l0, v[:-1] * dt + 0.5 * accels * dt * dt]),
-                  axis=0)
-    return p[1:], v[1:]
-
 
 def _equality_restore(x, a_mat, b_vec):
     """Minimal-norm correction putting x back on the equality manifold."""
@@ -422,12 +414,13 @@ def solve_subproblem(lin, plan_ref, cfg):
 
     def g_of_accels(x):
         a = accels_of(x)
-        return g_margins(_rollout(a, v0, l0, dt)[1], a)
+        return g_margins(_rollout(a, v0, l0, dt)[1][1:], a)
 
     x = _strictly_feasible_start(plan_ref.accelerations[1:].T.ravel(),
                                  a_mat, b_vec, g_of_accels)
     a = accels_of(x)
-    z = np.hstack([*_rollout(a, v0, l0, dt), a])     # (N, 6): p, v, a
+    p, v = _rollout(a, v0, l0, dt)
+    z = np.hstack([p[1:], v[1:], a])                 # (N, 6): p, v, a
 
     n_pin = a_mat.shape[0]
     half, band0, h_index = _kkt_band(n, n_pin, dt)
