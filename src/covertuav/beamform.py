@@ -5,8 +5,9 @@ once the received-power coupling at the adversary is enforced: the cover
 power carved out at the adversary fixes the secret user's power, the
 redundancy rate and both connection probabilities, so the slot reduces to a
 one-dimensional rise-then-decay curve searched by derivative-sign
-bisection. Beam directions enter through the received-power coefficients:
-the default isotropic mode uses the full-trace antenna gains, while the
+bisection, run over all slots (or candidate beams) at once. Beam
+directions enter through the received-power coefficients: the default
+isotropic mode uses the full-trace antenna gains, while the
 direction-aware mode projects explicit channel vectors onto a rank-one
 beam family mixing the covert user's own link with the leakage direction.
 The slot model itself (rate, redundancy, connection probabilities, and
@@ -16,6 +17,7 @@ powers and beams it is evaluated at.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from ._csvio import write_atomic_csv
 
 __all__ = ["CovertBudgetError", "SlotEnv", "slot_env", "env_from_vectors",
            "slot_objective", "BsaResult", "bsa_optimize",
+           "BsaBatch", "bsa_slots",
            "BeamformDecision", "decision_at", "decide_slot",
            "h0_decision", "H0Decision",
            "DirectionDecision", "choose_directions",
@@ -178,12 +181,107 @@ class BsaResult:
     iterations: int    # bisection steps (bracket halvings)
 
 
-def _derivative_sign(env, q, step, hi):
-    """Sign of the numerical derivative of the slot rate at q."""
-    lo_pt = max(q - step, 0.0)
-    hi_pt = min(q + step, hi)
-    f_lo, f_hi = env.rate(np.array([lo_pt, hi_pt]))
-    return f_hi - f_lo
+class BsaBatch(NamedTuple):
+    """Outcome of the power search over many slots: the `BsaResult`
+    fields as arrays with one entry per slot."""
+
+    q_c: np.ndarray
+    objective: np.ndarray
+    unimodal: np.ndarray
+    evaluations: np.ndarray
+    iterations: np.ndarray
+
+
+def _bsa_rows(rate, hi, zeta1, q_c_max, prescan=129):
+    """Derivative-sign bisection for the best covert power of many rows
+    at once.
+
+    rate(q, rows) gives the rate of the rows with indices `rows` at the
+    powers q, one row of q per index. Row r is searched over [0, hi[r]].
+    Every step of the search makes one rate call for all rows still
+    active, and each row takes exactly the steps, and gets exactly the
+    result, of a search of that row alone. A coarse pre-scan checks the
+    single-hump assumption; rows where it sees several interior rises get
+    their bracket from a dense grid and are flagged. Unimodal rows whose
+    slope does not change sign stop at an end point. The others bisect on
+    the sign of the numerical derivative until the bracket is within
+    zeta1.
+    """
+    hi = np.asarray(hi, dtype=float)
+    if (hi <= 0).any():
+        raise CovertBudgetError("no feasible covert power interval")
+    step = max(1e-6 * q_c_max, 1e-12)
+    every = np.arange(hi.size)
+
+    def slope(q, rows):
+        if not rows.size:
+            return np.empty(0)
+        f = rate(np.stack([np.maximum(q - step, 0.0),
+                           np.minimum(q + step, hi[rows])], axis=1), rows)
+        return f[:, 1] - f[:, 0]
+
+    # pre-scan for the single-hump assumption (rises below noise are ignored)
+    vals = rate(np.linspace(0.0, hi, prescan, axis=-1), every)
+    evals = np.full(hi.size, prescan)
+    diffs = np.diff(vals, axis=1)
+    noise = 1e-12 * np.fmax(1.0, np.max(np.abs(vals), axis=1))
+    unimodal = ~((diffs[:, :-1] <= 0)
+                 & (diffs[:, 1:] > noise[:, None])).any(axis=1)
+
+    lo, up = np.zeros(hi.size), hi.copy()
+    multi = np.flatnonzero(~unimodal)
+    if multi.size:
+        dense = np.linspace(0.0, hi[multi], 10_001, axis=-1)
+        best = np.argmax(rate(dense, multi), axis=1)
+        pick = np.arange(multi.size)
+        lo[multi] = dense[pick, np.maximum(best - 1, 0)]
+        up[multi] = dense[pick, np.minimum(best + 1, dense.shape[1] - 1)]
+        evals[multi] += dense.shape[1]
+
+    # unimodal rows still rising at hi, or already falling at 0, stop there
+    # (their four slope evaluations, unlike the bisection's, are not counted
+    # for rows that go on to bisect)
+    q_c = np.empty(hi.size)
+    bisect = ~unimodal
+    uni = np.flatnonzero(unimodal)
+    top = slope(hi[uni], uni) >= 0
+    q_c[uni[top]] = hi[uni[top]]
+    evals[uni[top]] += 2
+    rest = uni[~top]
+    bottom = slope(np.zeros(rest.size), rest) <= 0
+    q_c[rest[bottom]] = 0.0
+    evals[rest[bottom]] += 4
+    bisect[rest[~bottom]] = True
+
+    iters = np.zeros(hi.size, dtype=int)
+    active = np.flatnonzero(bisect & (up - lo > zeta1))
+    while active.size:
+        mid = 0.5 * (lo[active] + up[active])
+        rising = slope(mid, active) > 0
+        lo[active[rising]] = mid[rising]
+        up[active[~rising]] = mid[~rising]
+        iters[active] += 1
+        active = active[up[active] - lo[active] > zeta1]
+    q_c[bisect] = 0.5 * (lo[bisect] + up[bisect])
+    objective = rate(q_c[:, None], every)[:, 0]
+    return BsaBatch(q_c=q_c, objective=objective, unimodal=unimodal,
+                    evaluations=evals + 2 * iters + 1, iterations=iters)
+
+
+def _bsa_envs(envs, zeta1):
+    """`_bsa_rows` over slot environments that differ only in their gains
+    c_ba, c_ca and c_cw (one scenario, many slots or beams)."""
+    e = envs[0]
+    c_ba, c_ca, c_cw = np.array([[v.c_ba, v.c_ca, v.c_cw]
+                                 for v in envs]).T[:, :, None]
+
+    def rate(q, rows):
+        return kernels.slot_rate_curve(
+            q, c_ba[rows], c_ca[rows], c_cw[rows], e.g_bw, e.q_b_max,
+            e.sigma_a2, e.sigma_w2, e.gamma_t, e.gamma_c, e.neg_ln_eta,
+            e.kappa, e.r_t, e.r_c)
+
+    return _bsa_rows(rate, [v.q_c_feasible for v in envs], zeta1, e.q_c_max)
 
 
 def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
@@ -194,56 +292,31 @@ def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
     assumption; when it sees several interior rises the search falls back to
     a dense grid plus local bisection refinement and flags the result.
     The returned power is within zeta1 (default: the scenario tolerance)
-    of the true argmax.
+    of the true argmax. This is the batched search of `bsa_slots` run on
+    one slot, evaluated through `env.rate`.
     """
     env = slot_env(cfg, gains, slot) if env is None else env
     if zeta1 is None:
         zeta1 = (cfg.zeta1_w if cfg is not None else 1e-4 * env.q_c_max)
-    hi = env.q_c_feasible
-    if hi <= 0:
-        raise CovertBudgetError("no feasible covert power interval")
-    step = max(1e-6 * env.q_c_max, 1e-12)
-    evals = 0
 
-    # pre-scan for the single-hump assumption (rises below noise are ignored)
-    grid = np.linspace(0.0, hi, prescan)
-    vals = env.rate(grid)
-    evals += prescan
-    diffs = np.diff(vals)
-    noise = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    rises = np.flatnonzero((diffs[:-1] <= 0) & (diffs[1:] > noise))
-    unimodal = rises.size == 0
+    def rate(q, rows):
+        return np.reshape(env.rate(q.ravel()), q.shape)
 
-    if not unimodal:
-        dense = np.linspace(0.0, hi, 10_001)
-        dvals = env.rate(dense)
-        evals += dense.size
-        best = int(np.argmax(dvals))
-        lo = dense[max(best - 1, 0)]
-        up = dense[min(best + 1, dense.size - 1)]
-    else:
-        lo, up = 0.0, hi
-        if _derivative_sign(env, hi, step, hi) >= 0:
-            evals += 2
-            return BsaResult(q_c=hi, objective=float(env.rate(hi)),
-                             unimodal=True, evaluations=evals + 1, iterations=0)
-        if _derivative_sign(env, 0.0, step, hi) <= 0:
-            evals += 4
-            return BsaResult(q_c=0.0, objective=float(env.rate(0.0)),
-                             unimodal=True, evaluations=evals + 1, iterations=0)
+    res = _bsa_rows(rate, [env.q_c_feasible], zeta1, env.q_c_max, prescan)
+    return BsaResult(q_c=float(res.q_c[0]),
+                     objective=float(res.objective[0]),
+                     unimodal=bool(res.unimodal[0]),
+                     evaluations=int(res.evaluations[0]),
+                     iterations=int(res.iterations[0]))
 
-    iters = 0
-    while up - lo > zeta1:
-        mid = 0.5 * (lo + up)
-        if _derivative_sign(env, mid, step, hi) > 0:
-            lo = mid
-        else:
-            up = mid
-        evals += 2
-        iters += 1
-    q_star = 0.5 * (lo + up)
-    return BsaResult(q_c=q_star, objective=float(env.rate(q_star)),
-                     unimodal=unimodal, evaluations=evals + 1, iterations=iters)
+
+def bsa_slots(cfg, gains, zeta1=None):
+    """`bsa_optimize` of every slot of `gains` at once (isotropic mode).
+
+    Returns a `BsaBatch` whose entries equal the one-slot searches.
+    """
+    envs = [slot_env(cfg, gains, s) for s in range(len(gains.g_ba))]
+    return _bsa_envs(envs, cfg.zeta1_w if zeta1 is None else zeta1)
 
 
 @dataclass(frozen=True)
@@ -377,31 +450,31 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
             null_theta = math.atan2(alpha_abs, beta)
             angles = np.unique(np.append(angles, null_theta))
 
-    def score(theta):
-        env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=float(theta))
-        return bsa_optimize(cfg, zeta1=zeta1, env=env), env
+    zeta1 = cfg.zeta1_w if zeta1 is None else zeta1
 
-    best = None
-    for theta in angles:
-        res, env = score(theta)
-        if best is None or res.objective > best[1].objective:
-            best = (float(theta), res, env)
+    def score(cands):
+        """(theta, q_c, objective, env) of the best of the angles, the
+        first one on ties; one batched power search scores them all."""
+        envs = [env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=float(t))
+                for t in cands]
+        res = _bsa_envs(envs, zeta1)
+        i = int(np.argmax(res.objective))
+        return float(cands[i]), float(res.q_c[i]), res.objective[i], envs[i]
+
+    best = score(angles)
     if angles.size > 1:
         # refine around the coarse winner: two shrinking local passes
         span = float(np.max(np.diff(angles)))
-        center = best[0]
         for _ in range(2):
-            local = np.linspace(max(center - span, 0.0),
-                                min(center + span, 0.5 * math.pi), 9)
-            for theta in local:
-                res, env = score(theta)
-                if res.objective > best[1].objective:
-                    best = (float(theta), res, env)
             center = best[0]
+            local = score(np.linspace(max(center - span, 0.0),
+                                      min(center + span, 0.5 * math.pi), 9))
+            if local[2] > best[2]:
+                best = local
             span /= 4.0
-    theta, res, env = best
+    theta, q_c, _, env = best
     u_c = _beam(e1, e2, theta)
-    decision = _decision_from_env(env, res.q_c, u_b, u_c, theta)
+    decision = _decision_from_env(env, q_c, u_b, u_c, theta)
     return DirectionDecision(u_b=u_b, u_c=u_c, theta=theta,
                              decision=decision, env=env)
 

@@ -1,7 +1,7 @@
 """The slot model and the radiometer kernel, in numpy.
 
 Every planner path evaluates the per-slot rate here: the power search
-(`slot_rate_curve`, through `beamform.SlotEnv.rate`), the per-slot
+(`slot_rate_curve`, one row of powers per slot), the per-slot
 decisions, the trajectory rate and its linearization, and the
 covert-silent benchmark. `h1_slot` is the covert-active model and
 `h0_slot` the covert-silent one; both broadcast over arrays of slots.
@@ -58,9 +58,9 @@ def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
     (`secmetrics.secrecy_redundancy`). The secret stream connects with
     probability scp over the faded covert interference; the covert stream
     also needs its own link to clear gamma_c. The rate is
-    kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c, c_ba and c_ca may be
-    per-slot arrays; the rest are scalars. Cover beyond the budget is not
-    masked here (`slot_rate_curve` does that).
+    kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c, c_ba, c_ca and c_cw may
+    be per-slot arrays that broadcast together; the rest are scalars. Cover
+    beyond the budget is not masked here (`slot_rate_curve` does that).
 
     With chain = (s_ba, s_ca), the per-slot derivatives of ln c_ba and
     ln c_ca in some variables x_ba and x_ca, the rate's partials in x_ba and
@@ -164,19 +164,24 @@ def slot_rate_curve(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
     """Weighted slot rate (`h1_slot`) over an array of covert transmit powers.
 
     The outage cap is eta_s = exp(-neg_ln_eta). Infeasible powers (cover
-    exceeding the budget) map to -inf so grid argmax skips them. Scalar q_c
-    returns a scalar.
+    exceeding the budget) map to -inf so grid argmax skips them. The gains
+    c_ba, c_ca and c_cw may be per-slot columns (shape (k, 1)) that
+    broadcast against a (k, m) q_c, one row of powers per slot; otherwise
+    q_c is scalar or one-dimensional. Scalar q_c with scalar gains returns
+    a scalar.
     """
     q = np.ascontiguousarray(np.atleast_1d(q_c), dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("q_c must be scalar or one-dimensional")
+    gains = [np.asarray(c, dtype=np.float64) for c in (c_ba, c_ca, c_cw)]
+    if q.ndim > max(1, *(c.ndim for c in gains)):
+        raise ValueError("q_c must be scalar or one-dimensional, "
+                         "or have one row per slot of the gains")
     if g_bw <= 0:
         raise ValueError("g_bw must be positive")
     if (q < 0).any():
         raise ValueError("q_c must be nonnegative")
-    t = h1_slot(q, float(c_ba), float(c_ca), float(c_cw), float(g_bw),
+    t = h1_slot(q, *gains, float(g_bw),
                 float(q_b_max), float(sigma_a2), float(sigma_w2),
                 float(gamma_t), float(gamma_c), math.exp(-float(neg_ln_eta)),
                 float(kappa), float(r_t), float(r_c))
     out = np.where(t.p_cw <= float(q_b_max) * float(g_bw), t.rate, -np.inf)
-    return out if np.ndim(q_c) else float(out[0])
+    return float(out[0]) if np.ndim(q_c) == 0 and out.size == 1 else out

@@ -59,12 +59,10 @@ class BcdTrace:
 
 
 def _block_beamformers(cfg, plan):
-    """Per-slot exact power search at the plan's communication positions."""
+    """Exact power search of every slot at the plan's communication
+    positions."""
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    q_c = np.empty(plan.n_slots)
-    for slot in range(plan.n_slots):
-        q_c[slot] = beamform.bsa_optimize(cfg, gains, slot=slot).q_c
-    return q_c, gains
+    return beamform.bsa_slots(cfg, gains).q_c
 
 
 def _final_decisions(cfg, plan, q_c):
@@ -94,7 +92,7 @@ def run_bcd(cfg, max_iters=50, tol=None):
         for _ in range(max_iters):
             iterations += 1
             block = "beamformer block"
-            q_new, _ = _block_beamformers(cfg, plan)
+            q_new = _block_beamformers(cfg, plan)
             obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
             if obj_b >= obj:
                 q_c, obj = q_new, obj_b

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from covertuav import beamform, channel, secmetrics
+from covertuav import beamform, channel, secmetrics, trajectory
 from covertuav.beamform import CovertBudgetError
 from covertuav.rng import make_rng
-from covertuav.scenario import with_overrides
+from covertuav.scenario import bundled_scenario, with_overrides
 
 
 @pytest.fixture
@@ -171,6 +171,111 @@ def test_bsa_no_feasible_interval(env0):
     # search still guards its own interval
     with pytest.raises(CovertBudgetError, match="no feasible covert power"):
         beamform.bsa_optimize(env=broken)
+
+
+def _scalar_bsa(env, zeta1, prescan=129):
+    """The one-slot search written out scalar by scalar: the reference the
+    batched search must reproduce bit for bit, evaluation counts included
+    (the end-point slope tests count only when they end the search)."""
+    hi = env.q_c_feasible
+    step = max(1e-6 * env.q_c_max, 1e-12)
+
+    def slope(q):
+        f_lo, f_hi = env.rate(np.array([max(q - step, 0.0), min(q + step, hi)]))
+        return f_hi - f_lo
+
+    grid = np.linspace(0.0, hi, prescan)
+    vals = env.rate(grid)
+    evals = prescan
+    diffs = np.diff(vals)
+    noise = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    unimodal = not np.any((diffs[:-1] <= 0) & (diffs[1:] > noise))
+    if not unimodal:
+        dense = np.linspace(0.0, hi, 10_001)
+        best = int(np.argmax(env.rate(dense)))
+        evals += dense.size
+        lo, up = dense[max(best - 1, 0)], dense[min(best + 1, dense.size - 1)]
+    else:
+        lo, up = 0.0, hi
+        if slope(hi) >= 0:
+            return beamform.BsaResult(hi, float(env.rate(hi)), True,
+                                      evals + 3, 0)
+        if slope(0.0) <= 0:
+            return beamform.BsaResult(0.0, float(env.rate(0.0)), True,
+                                      evals + 5, 0)
+    iters = 0
+    while up - lo > zeta1:
+        mid = 0.5 * (lo + up)
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            up = mid
+        evals += 2
+        iters += 1
+    q = 0.5 * (lo + up)
+    return beamform.BsaResult(q, float(env.rate(q)), unimodal, evals + 1,
+                              iters)
+
+
+def _batch_rows(batch):
+    return [beamform.BsaResult(float(q), float(o), bool(u), int(e), int(i))
+            for q, o, u, e, i in zip(*batch)]
+
+
+@pytest.mark.parametrize("name", ["paper_default", "paper_t100"])
+def test_bsa_slots_matches_the_scalar_search(name):
+    """Every slot of the batched search equals its own scalar search
+    exactly, at the initial plan and after one SCA step has moved it."""
+    cfg = bundled_scenario(name)
+    plan = trajectory.initial_plan(cfg)
+    gains = channel.gains_for_positions(cfg, plan.comm_positions)
+    q_c = beamform.bsa_slots(cfg, gains).q_c
+    moved = trajectory.sca_trajectory(plan, q_c, cfg, max_iters=1).plan
+    assert not np.array_equal(moved.positions, plan.positions)
+    for p in (plan, moved):
+        gains = channel.gains_for_positions(cfg, p.comm_positions)
+        got = _batch_rows(beamform.bsa_slots(cfg, gains))
+        want = [_scalar_bsa(beamform.slot_env(cfg, gains, s), cfg.zeta1_w)
+                for s in range(p.n_slots)]
+        assert got == want
+        assert got[:3] == [beamform.bsa_optimize(cfg, gains, slot=s)
+                           for s in range(3)]
+
+
+def test_bsa_mixed_batch_matches_single_rows():
+    """One batch where a two-hump row takes the dense-grid bracket while
+    the others bisect or stop at an end point: each row equals its own
+    one-row search and the scalar reference."""
+    q_max = 1e-3
+
+    def two_humps(q):
+        a = np.exp(-0.5 * ((q - 0.2 * q_max) / (0.1 * q_max)) ** 2)
+        b = 1.3 * np.exp(-0.5 * ((q - 0.7 * q_max) / (0.1 * q_max)) ** 2)
+        return a + b
+
+    rows = [(two_humps, q_max), (lambda q: -((q - 3e-4) ** 2), 8e-4),
+            (lambda q: q, q_max), (lambda q: -q, 5e-4),
+            (lambda q: -((q - 2e-4) ** 2), 2.5e-4)]
+
+    def rate(q, idx):
+        return np.stack([rows[r][0](q[i]) for i, r in enumerate(idx)])
+
+    batch = _batch_rows(beamform._bsa_rows(rate, [hi for _, hi in rows],
+                                           1e-7, q_max))
+    assert [r.unimodal for r in batch] == [False, True, True, True, True]
+    assert [r.iterations > 0 for r in batch] == [True, True, False, False,
+                                                 True]
+    for res, (fn, hi) in zip(batch, rows):
+        stub = _StubEnv(fn, q_c_max=q_max)
+        stub.q_c_feasible = hi
+        assert res == beamform.bsa_optimize(env=stub, zeta1=1e-7)
+        assert res == _scalar_bsa(stub, 1e-7)
+    assert abs(batch[0].q_c - 0.7 * q_max) <= 1e-6
+
+
+def test_bsa_batch_rejects_an_empty_interval():
+    with pytest.raises(CovertBudgetError, match="no feasible covert power"):
+        beamform._bsa_rows(lambda q, rows: q, [1e-3, 0.0], 1e-7, 1e-3)
 
 
 # -- decisions -----------------------------------------------------------------

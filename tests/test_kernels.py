@@ -36,6 +36,22 @@ def test_slot_rate_input_validation():
         _curve(np.zeros((2, 2)))
 
 
+def test_slot_rate_rows_of_slots():
+    """Per-slot gain columns against a (slots, powers) grid give each row
+    exactly its own one-slot curve, the -inf mask included."""
+    c_ba = CANON["c_ba"] * np.array([[1.0], [0.5], [2.0]])
+    c_cw = CANON["c_cw"] * np.array([[1.0], [3.0], [1e4]])
+    q = np.linspace(0.0, 1e-3, 7) * np.ones((3, 1))
+    rows = kernels.slot_rate_curve(
+        q, **{**CANON, "c_ba": c_ba, "c_cw": c_cw})
+    assert rows.shape == (3, 7)
+    for r in range(3):
+        one = kernels.slot_rate_curve(
+            q[r], **{**CANON, "c_ba": c_ba[r, 0], "c_cw": c_cw[r, 0]})
+        assert np.array_equal(rows[r], one)
+    assert np.isneginf(rows[2, -1]) and np.isfinite(rows[2, 0])
+
+
 def test_slot_rate_infeasible_is_minus_inf():
     # cover demand c_cw * q exceeding q_b_max * g_bw cannot be masked
     q_limit = CANON["q_b_max"] * CANON["g_bw"] / CANON["c_cw"]

@@ -77,7 +77,7 @@ def test_failed_block_is_named_with_its_round(cfg, monkeypatch):
     trace.plan.check_feasible(cfg)
 
     with monkeypatch.context() as m:
-        _failing_on_call(m, beamform, "bsa_optimize", 1,
+        _failing_on_call(m, beamform, "bsa_slots", 1,
                          beamform.CovertBudgetError("injected"))
         trace = orchestrator.run_bcd(cfg, max_iters=3, tol=0.0)
     assert trace.error.startswith("round 1, beamformer block: "

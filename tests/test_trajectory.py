@@ -3,6 +3,7 @@ successive convex refinement loop."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 from covertuav import beamform, channel, trajectory
@@ -382,21 +383,27 @@ def _slsqp_subproblem(lin, plan, cfg):
     return model(res.x), model, violation
 
 
-@pytest.mark.parametrize("v_end", [4.0, None], ids=["pinned", "free"])
-def test_subproblem_matches_slsqp_on_six_slots(v_end):
-    """Six slots, mixed-sign derivatives (exact quadratics and tangent
-    minorants both present): the barrier solver's model value agrees with
-    an independent SLSQP solve of the same program."""
+def _six_slot_case(v_end, **overrides):
+    """Six slots cruising at 4 m/s with mixed-sign derivatives (exact
+    quadratics and tangent minorants both present): (cfg, plan, lin)."""
     cfg = with_overrides(
         bundled_scenario(), n_slots=6, t_s=30.0, l_start=(0.0, 0.0),
         l_end=(120.0, 0.0), v_start=4.0, v_end=v_end, l_b=(40.0, 60.0),
-        l_c=(70.0, -50.0))
+        l_c=(70.0, -50.0), **overrides)
     plan = trajectory.initial_plan(cfg)
     lin = trajectory.linearize(plan, np.full(6, Q_STAR), cfg)
     assert np.all(lin.d_ba < 0) and np.all(lin.d_ca < 0)
     lin = trajectory.LinearizedObjective(
         lin.mu_ba_ref, lin.mu_ca_ref, lin.d_ba,
         lin.d_ca * np.array([3.0, -3.0, 3.0, -3.0, 3.0, -3.0]), lin.const)
+    return cfg, plan, lin
+
+
+@pytest.mark.parametrize("v_end", [4.0, None], ids=["pinned", "free"])
+def test_subproblem_matches_slsqp_on_six_slots(v_end):
+    """Six slots, mixed-sign derivatives: the barrier solver's model value
+    agrees with an independent SLSQP solve of the same program."""
+    cfg, plan, lin = _six_slot_case(v_end)
     best, model, violation = _slsqp_subproblem(lin, plan, cfg)
     # SLSQP holds the squared speed and acceleration bounds (v_max^2 = 400,
     # a_max^2 = 100) to about 1e-5
@@ -405,6 +412,32 @@ def test_subproblem_matches_slsqp_on_six_slots(v_end):
     sol.check_feasible(cfg)
     assert model(sol.accelerations[1:].ravel()) == pytest.approx(best,
                                                                  abs=1e-6)
+
+
+def test_subproblem_with_the_minimum_speed_bound_binding(monkeypatch):
+    """v_min = 3.5 m/s just under the plan's 4 m/s: at the optimum the
+    linearised minimum-speed bound binds on some nodes and is slack on
+    others. The solver agrees with SLSQP, and its barrier stages meet the
+    Newton-decrement stop well inside their 60-step caps (one banded solve
+    per Newton step; about 45 here, against 60 per stage for a barrier
+    gradient that disagrees with its Hessian)."""
+    cfg, plan, lin = _six_slot_case(None, v_min=3.5)
+    solves = []
+    real = scipy.linalg.solve_banded
+    monkeypatch.setattr(scipy.linalg, "solve_banded",
+                        lambda *a, **kw: solves.append(None) or real(*a, **kw))
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    vr, v = plan.velocities[1:], sol.velocities[1:]
+    margin = (2.0 * np.sum(vr * v, axis=1) - np.sum(vr ** 2, axis=1)
+              - cfg.v_min ** 2)
+    assert np.all(margin > -1e-9)
+    assert np.sum(margin < 1e-3) >= 3 and np.max(margin) > 1.0
+    best, model, violation = _slsqp_subproblem(lin, plan, cfg)
+    assert violation <= 1e-4
+    assert model(sol.accelerations[1:].ravel()) == pytest.approx(best,
+                                                                 abs=1e-6)
+    assert 0 < len(solves) <= 120
 
 
 @pytest.mark.parametrize("h0", [False, True], ids=["h1", "h0"])
