@@ -310,13 +310,14 @@ def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
                      iterations=int(res.iterations[0]))
 
 
-def bsa_slots(cfg, gains, zeta1=None):
-    """`bsa_optimize` of every slot of `gains` at once (isotropic mode).
+def bsa_slots(cfg, gains):
+    """`bsa_optimize` of every slot of `gains` at once (isotropic mode),
+    to the scenario tolerance `cfg.zeta1_w`.
 
     Returns a `BsaBatch` whose entries equal the one-slot searches.
     """
     envs = [slot_env(cfg, gains, s) for s in range(len(gains.g_ba))]
-    return _bsa_envs(envs, cfg.zeta1_w if zeta1 is None else zeta1)
+    return _bsa_envs(envs, cfg.zeta1_w)
 
 
 @dataclass(frozen=True)
