@@ -238,19 +238,18 @@ def _bsa_rows(rate, hi, zeta1, q_c_max, prescan=129):
         up[multi] = dense[pick, np.minimum(best + 1, dense.shape[1] - 1)]
         evals[multi] += dense.shape[1]
 
-    # unimodal rows still rising at hi, or already falling at 0, stop there
-    # (their four slope evaluations, unlike the bisection's, are not counted
-    # for rows that go on to bisect)
+    # unimodal rows still rising at hi, or already falling at 0, stop there;
+    # each end-point slope test costs two evaluations
     q_c = np.empty(hi.size)
     bisect = ~unimodal
     uni = np.flatnonzero(unimodal)
     top = slope(hi[uni], uni) >= 0
     q_c[uni[top]] = hi[uni[top]]
-    evals[uni[top]] += 2
+    evals[uni] += 2
     rest = uni[~top]
     bottom = slope(np.zeros(rest.size), rest) <= 0
     q_c[rest[bottom]] = 0.0
-    evals[rest[bottom]] += 4
+    evals[rest] += 2
     bisect[rest[~bottom]] = True
 
     iters = np.zeros(hi.size, dtype=int)

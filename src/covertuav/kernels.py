@@ -125,16 +125,14 @@ class H0Terms(NamedTuple):
 def h0_slot(p_ba, p_bw, sigma_a2, sigma_w2, gamma_t, eta_s, r_t, chain=None):
     """Secret-only slot rate with the covert user silent.
 
-    The redundancy rate is the adversary's full-leakage capacity
-    log2(1 + p_bw/sigma_w2), raised to the outage-cap boundary whenever that
-    cap binds; the secret stream connects with the Rayleigh tail
-    exp(-gamma_t sigma_a2 / p_ba). p_ba and p_bw may be arrays that
-    broadcast together. With chain, the per-slot derivative of ln p_ba in
-    some x, the rate's partial in x is returned as well.
+    The redundancy rate holds the secrecy outage at eta_s by the rule the
+    covert-active model uses at zero cover (`secmetrics.secrecy_redundancy`,
+    which is then `redundancy_for_outage_cap`); the secret stream connects
+    with the Rayleigh tail exp(-gamma_t sigma_a2 / p_ba). p_ba and p_bw may
+    be arrays that broadcast together. With chain, the per-slot derivative
+    of ln p_ba in some x, the rate's partial in x is returned as well.
     """
-    r_w = np.maximum(np.log2(1.0 + p_bw / sigma_w2),
-                     secmetrics.redundancy_for_outage_cap(p_bw, sigma_w2,
-                                                          eta_s))
+    r_w = secmetrics.secrecy_redundancy(p_bw, 0.0, sigma_w2, eta_s)
     r_s = np.maximum(r_t - r_w, 0.0)
     scp = np.exp(-gamma_t * sigma_a2 / p_ba)
     rate = scp * r_s

@@ -170,7 +170,16 @@ def estimate_ccp(p_ba, p_ca, sigma_a2, r_t, r_c, samples=100_000, seed=0):
 
 # -- randomized agreement sweep -------------------------------------------------
 
-_AGREEMENT_METRICS = ("scp_h0", "scp_h1", "sop_h0", "sop_h1", "ccp")
+# metric -> the link fields its closed form (`secmetrics.<metric>`) and its
+# estimator (`estimate_<metric>`) both take, in order; the two functions are
+# looked up by name at call time, so a patched or traced one is the one run
+_AGREEMENT = {
+    "scp_h0": ("p_ba", "sigma_a2", "r_t"),
+    "scp_h1": ("p_ba", "p_ca", "sigma_a2", "r_t"),
+    "sop_h0": ("p_bw", "sigma_w2", "r_w"),
+    "sop_h1": ("p_bw", "p_cw", "sigma_w2", "r_w"),
+    "ccp": ("p_ba", "p_ca", "sigma_a2", "r_t", "r_c"),
+}
 
 
 def _random_link(rng):
@@ -189,46 +198,6 @@ def _random_link(rng):
     p_cw = float(rng.uniform(0.2, 2.0)) * p_bw
     return dict(p_ba=p_ba, p_ca=p_ca, p_bw=p_bw, p_cw=p_cw,
                 sigma_a2=1.0, sigma_w2=1.0, r_t=r_t, r_w=r_w, r_c=r_c)
-
-
-def _closed_value(metric, link):
-    if metric == "scp_h0":
-        return float(secmetrics.scp_h0(link["p_ba"], link["sigma_a2"],
-                                       link["r_t"]))
-    if metric == "scp_h1":
-        return float(secmetrics.scp_h1(link["p_ba"], link["p_ca"],
-                                       link["sigma_a2"], link["r_t"]))
-    if metric == "sop_h0":
-        return float(secmetrics.sop_h0(link["p_bw"], link["sigma_w2"],
-                                       link["r_w"]))
-    if metric == "sop_h1":
-        return float(secmetrics.sop_h1(link["p_bw"], link["p_cw"],
-                                       link["sigma_w2"], link["r_w"]))
-    if metric == "ccp":
-        return float(secmetrics.ccp(link["p_ba"], link["p_ca"],
-                                    link["sigma_a2"], link["r_t"],
-                                    link["r_c"]))
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _estimate_value(metric, link, samples, seed):
-    if metric == "scp_h0":
-        return estimate_scp_h0(link["p_ba"], link["sigma_a2"], link["r_t"],
-                               samples=samples, seed=seed)
-    if metric == "scp_h1":
-        return estimate_scp_h1(link["p_ba"], link["p_ca"], link["sigma_a2"],
-                               link["r_t"], samples=samples, seed=seed)
-    if metric == "sop_h0":
-        return estimate_sop_h0(link["p_bw"], link["sigma_w2"], link["r_w"],
-                               samples=samples, seed=seed)
-    if metric == "sop_h1":
-        return estimate_sop_h1(link["p_bw"], link["p_cw"], link["sigma_w2"],
-                               link["r_w"], samples=samples, seed=seed)
-    if metric == "ccp":
-        return estimate_ccp(link["p_ba"], link["p_ca"], link["sigma_a2"],
-                            link["r_t"], link["r_c"], samples=samples,
-                            seed=seed)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _row_seed(base_seed, idx):
@@ -253,16 +222,19 @@ def agreement_suite(samples=100_000, seed=0, sets_per_metric=4):
     deterministic for a given base seed.
     """
     rng = make_rng(seed, worker=9_001)
+    metrics = list(_AGREEMENT)
     rows = []
-    for idx in range(int(sets_per_metric) * len(_AGREEMENT_METRICS)):
-        metric = _AGREEMENT_METRICS[idx % len(_AGREEMENT_METRICS)]
+    for idx in range(int(sets_per_metric) * len(metrics)):
+        metric = metrics[idx % len(metrics)]
         for _ in range(200):
             link = _random_link(rng)
-            closed = _closed_value(metric, link)
+            args = [link[field] for field in _AGREEMENT[metric]]
+            closed = float(getattr(secmetrics, metric)(*args))
             if 0.02 <= closed <= 0.98:
                 break
         row_seed = _row_seed(seed, idx)
-        est = _estimate_value(metric, link, samples, row_seed)
+        est = globals()[f"estimate_{metric}"](*args, samples=samples,
+                                              seed=row_seed)
         rows.append(AgreementRow(metric=metric, closed_form=closed,
                                  mc_estimate=est.estimate, ci=est.half_width,
                                  samples=est.n_samples, seed=row_seed))

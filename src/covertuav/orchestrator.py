@@ -1,14 +1,21 @@
-"""Outer alternating loop: per-slot transmit design, then flight path.
+"""Planner runs: the joint alternation and its two one-block benchmarks.
 
-Block one maximizes each slot's weighted rate exactly over the covert
-power at the current positions; block two refines the flight path at the
-accepted powers. Both blocks carry an acceptance guard — an update only
-lands if the global mean rate does not decrease — so the recorded trace is
-nondecreasing unconditionally, and the loop stops once an outer round
-moves the objective by less than the configured tolerance.
+The joint run (`run_bcd`) alternates two blocks. Block one maximizes each
+slot's weighted rate exactly over the covert power at the current
+positions; block two refines the flight path at the accepted powers. Both
+blocks carry an acceptance guard — an update only lands if the global mean
+rate does not decrease — so the recorded trace is nondecreasing
+unconditionally, and the loop stops once an outer round moves the
+objective by less than the configured tolerance.
 
-Also here: the covert-user-silent benchmark, the weight-sweep frontier,
-and the fixed-beamformer baseline comparison.
+The two benchmarks fix the powers, so they have only the trajectory block:
+the fixed-beamformer baseline (`run_sotfb`) pins every slot's covert power
+at the cap, and the covert-user-silent benchmark (`run_h0_benchmark`)
+evaluates the covert-silent slot model. Each runs that block once, one
+successive-refinement call whose accepted steps form its trace. One private
+driver runs all three.
+
+Also here: the weight-sweep frontier and the run artifacts.
 """
 
 import math
@@ -23,20 +30,23 @@ from ._csvio import write_atomic_csv
 
 __all__ = [
     "BcdTrace", "run_bcd", "run_h0_benchmark", "run_sotfb",
-    "ParetoRow", "pareto_sweep", "compare_sotfb",
+    "ParetoRow", "pareto_sweep",
     "write_trace_csv", "write_pareto_csv", "write_run_artifacts",
 ]
 
 
 @dataclass(frozen=True)
 class BcdTrace:
-    """Outcome of one alternating run.
+    """Outcome of one planner run.
 
     objectives[0] is the starting point's mean rate; one more entry lands
-    per completed outer round. decisions holds the final per-slot designs
-    and plan the final flight path. error is None unless a block failed, in
-    which case the last accepted iterate is returned with a message naming
-    the outer round and the block ("round 3, trajectory block: ...").
+    per completed outer round of the joint run, or per accepted
+    successive-refinement step of a one-block benchmark. iterations counts
+    those rounds, or the refinement iterations. decisions holds the final
+    per-slot designs and plan the final flight path. error is None unless a
+    block failed, in which case the last accepted iterate is returned with a
+    message naming the outer round and the block ("round 3, trajectory
+    block: ...").
     """
 
     objectives: list
@@ -58,99 +68,87 @@ class BcdTrace:
         return self.objectives[-1]
 
 
-def _block_beamformers(cfg, plan):
-    """Exact power search of every slot at the plan's communication
-    positions."""
-    gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    return beamform.bsa_slots(cfg, gains).q_c
+def _run(cfg, power, max_iters, tol):
+    """One planner run under the covert-power policy `power`.
 
-
-def _final_decisions(cfg, plan, q_c):
-    gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    return [beamform.decision_at(cfg, gains, q_c[slot], slot=slot)
-            for slot in range(plan.n_slots)]
-
-
-def _block_error(round_no, block, exc):
-    """BcdTrace.error text naming the outer round and block that failed."""
-    return f"round {round_no}, {block}: {type(exc).__name__}: {exc}"
-
-
-def run_bcd(cfg, max_iters=50, tol=None):
-    """Alternate the two blocks until the mean weighted rate stalls."""
-    if tol is None:
-        tol = cfg.bcd_tol
-    start = time.perf_counter()
-    plan = trajectory.initial_plan(cfg)
-    q_c = np.zeros(plan.n_slots)
-    obj = trajectory.trajectory_objective(plan, q_c, cfg)
-    objectives = [obj]
-    error = None
-    converged = False
-    iterations = 0
-    try:
-        for _ in range(max_iters):
-            iterations += 1
-            block = "beamformer block"
-            q_new = _block_beamformers(cfg, plan)
-            obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
-            if obj_b >= obj:
-                q_c, obj = q_new, obj_b
-            block = "trajectory block"
-            sca = trajectory.sca_trajectory(plan, q_c, cfg)
-            obj_t = trajectory.trajectory_objective(sca.plan, q_c, cfg)
-            if obj_t >= obj:
-                plan, obj = sca.plan, obj_t
-            objectives.append(obj)
-            if abs(objectives[-1] - objectives[-2]) < tol:
-                converged = True
-                break
-    except (beamform.CovertBudgetError, trajectory.TrajectoryError,
-            np.linalg.LinAlgError) as exc:
-        error = _block_error(iterations, block, exc)
-    decisions = _final_decisions(cfg, plan, q_c)
-    return BcdTrace(objectives=objectives, decisions=decisions, plan=plan,
-                    q_c=q_c, iterations=iterations,
-                    wall_time=time.perf_counter() - start,
-                    converged=converged, error=error)
-
-
-def run_h0_benchmark(cfg, max_iters=50, tol=None):
-    """Alternating run with the covert user silent.
-
-    Block one is the fixed full-power policy (nothing to search); block two
-    refines the path for the secret-only rate. The covert rate contribution
-    is identically zero and the outage cap is honored by construction.
+    "search" starts every slot at zero and alternates the exact per-slot
+    power search with the trajectory block. "pinned" fixes every slot at
+    min(q_c_max, q_c_feasible) of the starting plan, and "silent" at zero
+    with the covert-silent slot model; with the powers fixed there is
+    nothing to alternate, so the trajectory block runs once.
     """
     if tol is None:
         tol = cfg.bcd_tol
     start = time.perf_counter()
     plan = trajectory.initial_plan(cfg)
-    obj = trajectory.trajectory_objective(plan, 0.0, cfg, h0=True)
+    q_c = np.zeros(plan.n_slots)
+    if power == "pinned":
+        gains = channel.gains_for_positions(cfg, plan.comm_positions)
+        q_c[:] = min(cfg.q_c_max_w,
+                     beamform.slot_env(cfg, gains, 0).q_c_feasible)
+    h0 = power == "silent"
+    obj = trajectory.trajectory_objective(plan, q_c, cfg, h0=h0)
     objectives = [obj]
-    error = None
     converged = False
-    iterations = 0
+    rounds, block, error = 0, "trajectory block", None
     try:
-        for _ in range(max_iters):
-            iterations += 1
-            sca = trajectory.sca_trajectory(plan, 0.0, cfg, h0=True)
-            obj_t = trajectory.trajectory_objective(sca.plan, 0.0, cfg, h0=True)
-            if obj_t >= obj:
-                plan, obj = sca.plan, obj_t
-            objectives.append(obj)
-            if abs(objectives[-1] - objectives[-2]) < tol:
-                converged = True
-                break
-    except (trajectory.TrajectoryError, np.linalg.LinAlgError) as exc:
-        error = _block_error(iterations, "trajectory block", exc)
+        if power == "search":
+            for _ in range(max_iters):
+                rounds += 1
+                block = "beamformer block"
+                gains = channel.gains_for_positions(cfg, plan.comm_positions)
+                q_new = beamform.bsa_slots(cfg, gains).q_c
+                obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
+                if obj_b >= obj:
+                    q_c, obj = q_new, obj_b
+                block = "trajectory block"
+                sca = trajectory.sca_trajectory(plan, q_c, cfg)
+                obj_t = trajectory.trajectory_objective(sca.plan, q_c, cfg)
+                if obj_t >= obj:
+                    plan, obj = sca.plan, obj_t
+                objectives.append(obj)
+                if abs(objectives[-1] - objectives[-2]) < tol:
+                    converged = True
+                    break
+        else:
+            rounds = 1
+            sca = trajectory.sca_trajectory(plan, q_c, cfg, h0=h0, tol=tol,
+                                            max_iters=max_iters)
+            plan, objectives = sca.plan, list(sca.objectives)
+            rounds, converged = sca.iterations, sca.converged
+    except (beamform.CovertBudgetError, trajectory.TrajectoryError,
+            np.linalg.LinAlgError) as exc:
+        error = f"round {rounds}, {block}: {type(exc).__name__}: {exc}"
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    decisions = [beamform.h0_decision(cfg, gains, slot=s)
+    decisions = [beamform.h0_decision(cfg, gains, slot=s) if h0
+                 else beamform.decision_at(cfg, gains, q_c[s], slot=s)
                  for s in range(plan.n_slots)]
     return BcdTrace(objectives=objectives, decisions=decisions, plan=plan,
-                    q_c=np.zeros(plan.n_slots), iterations=iterations,
+                    q_c=q_c, iterations=rounds,
                     wall_time=time.perf_counter() - start,
                     converged=converged, error=error)
+
+
+def run_bcd(cfg, max_iters=50, tol=None):
+    """Alternate the two blocks until the mean weighted rate stalls."""
+    return _run(cfg, "search", max_iters, tol)
+
+
+def run_h0_benchmark(cfg, max_iters=50, tol=None):
+    """Trajectory-only run with the covert user silent.
+
+    The secret user transmits at full power (nothing to search) and only
+    the flight path is refined, for the secret-only rate. The covert rate
+    contribution is identically zero and the outage cap is honored by
+    construction.
+    """
+    return _run(cfg, "silent", max_iters, tol)
+
+
+def run_sotfb(cfg, max_iters=50, tol=None):
+    """Trajectory-only baseline: every slot keeps its covert power pinned at
+    the cap (uniform unit directions) and only the flight path is refined."""
+    return _run(cfg, "pinned", max_iters, tol)
 
 
 @dataclass(frozen=True)
@@ -196,35 +194,12 @@ def pareto_sweep(cfg, kappas, max_iters=50, tol=None):
     return rows
 
 
-def run_sotfb(cfg, max_iters=50, tol=None):
-    """Trajectory-only baseline: every slot keeps its covert power pinned at
-    the cap (uniform unit directions) and only the flight path is refined."""
-    start = time.perf_counter()
-    plan = trajectory.initial_plan(cfg)
-    gains0 = channel.gains_for_positions(cfg, plan.comm_positions)
-    env0 = beamform.slot_env(cfg, gains0, 0)
-    q_fixed = min(cfg.q_c_max_w, env0.q_c_feasible)
-    q_c = np.full(plan.n_slots, q_fixed)
-    sca = trajectory.sca_trajectory(plan, q_c, cfg, tol=tol, max_iters=max_iters)
-    decisions = _final_decisions(cfg, sca.plan, q_c)
-    return BcdTrace(objectives=list(sca.objectives), decisions=decisions,
-                    plan=sca.plan, q_c=q_c, iterations=sca.iterations,
-                    wall_time=time.perf_counter() - start,
-                    converged=sca.converged, error=None)
-
-
-def compare_sotfb(cfg, max_iters=50, tol=None):
-    """Joint optimization vs the fixed-beamformer trajectory-only baseline."""
-    jotb = run_bcd(cfg, max_iters=max_iters, tol=tol)
-    sotfb = run_sotfb(cfg, max_iters=max_iters, tol=tol)
-    return jotb, sotfb
-
-
 # ---------------------------------------------------------------------------
 # run artifacts
 
 def write_trace_csv(path, trace):
-    """Objective per outer round (round 0 is the starting point)."""
+    """Objective per `BcdTrace.objectives` entry (entry 0 is the starting
+    point)."""
     write_atomic_csv(path, ("iteration", "objective"),
                      list(enumerate(trace.objectives)))
 

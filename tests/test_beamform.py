@@ -176,7 +176,7 @@ def test_bsa_no_feasible_interval(env0):
 def _scalar_bsa(env, zeta1, prescan=129):
     """The one-slot search written out scalar by scalar: the reference the
     batched search must reproduce bit for bit, evaluation counts included
-    (the end-point slope tests count only when they end the search)."""
+    (every end-point slope test counts, also when the search goes on)."""
     hi = env.q_c_feasible
     step = max(1e-6 * env.q_c_max, 1e-12)
 
@@ -197,12 +197,14 @@ def _scalar_bsa(env, zeta1, prescan=129):
         lo, up = dense[max(best - 1, 0)], dense[min(best + 1, dense.size - 1)]
     else:
         lo, up = 0.0, hi
+        evals += 2
         if slope(hi) >= 0:
             return beamform.BsaResult(hi, float(env.rate(hi)), True,
-                                      evals + 3, 0)
+                                      evals + 1, 0)
+        evals += 2
         if slope(0.0) <= 0:
             return beamform.BsaResult(0.0, float(env.rate(0.0)), True,
-                                      evals + 5, 0)
+                                      evals + 1, 0)
     iters = 0
     while up - lo > zeta1:
         mid = 0.5 * (lo + up)
@@ -273,6 +275,29 @@ def test_bsa_mixed_batch_matches_single_rows():
     assert abs(batch[0].q_c - 0.7 * q_max) <= 1e-6
 
 
+def test_bsa_evaluations_count_every_rate_point():
+    """`evaluations` is the number of powers each row's rate was evaluated
+    at, for a bisecting row, an end-point row and a multi-hump row."""
+    q_max = 1e-3
+
+    def two_humps(q):
+        a = np.exp(-0.5 * ((q - 0.2 * q_max) / (0.1 * q_max)) ** 2)
+        b = 1.3 * np.exp(-0.5 * ((q - 0.7 * q_max) / (0.1 * q_max)) ** 2)
+        return a + b
+
+    rows = [lambda q: -((q - 3e-4) ** 2), lambda q: -q, two_humps]
+    seen = np.zeros(len(rows), dtype=int)
+
+    def rate(q, idx):
+        seen[idx] += q.shape[1]
+        return np.stack([rows[r](q[i]) for i, r in enumerate(idx)])
+
+    batch = beamform._bsa_rows(rate, [q_max] * len(rows), 1e-7, q_max)
+    assert list(batch.unimodal) == [True, True, False]
+    assert batch.iterations[0] > 0 and batch.iterations[1] == 0
+    assert list(batch.evaluations) == list(seen)
+
+
 def test_bsa_batch_rejects_an_empty_interval():
     with pytest.raises(CovertBudgetError, match="no feasible covert power"):
         beamform._bsa_rows(lambda q, rows: q, [1e-3, 0.0], 1e-7, 1e-3)
@@ -322,6 +347,16 @@ def test_h0_decision_canonical(cfg, gains0):
     # the outage cap binds exactly for this scenario
     assert d.sop_h0 == pytest.approx(cfg.eta_s, rel=1e-10)
     assert d.rate == pytest.approx(0.9543201614347451, rel=1e-10)
+
+
+def test_h0_redundancy_is_the_zero_cover_rule(cfg, gains0):
+    """At a lax cap (eta_s > 1/e) the covert-silent redundancy is still the
+    covert-active rule at zero cover, and the outage sits at the cap."""
+    lax = with_overrides(cfg, eta_s=0.5)
+    h0 = beamform.h0_decision(lax, gains0, 0)
+    assert h0.r_w == beamform.decision_at(lax, gains0, 0.0).r_w
+    assert h0.r_w == pytest.approx(12.259240326604953, rel=1e-12)
+    assert h0.sop_h0 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_h0_outage_cap_binds_when_tight(cfg, gains0):

@@ -187,8 +187,7 @@ def test_rate_sweep_secret_power(cfg, tmp_path):
     for i in rng.choice(len(arr), 20, replace=False):
         q_b = float(arr["q_b"][i])
         leak = q_b * env.g_bw / env.sigma_w2
-        r_w = max(math.log2(1.0 + leak),
-                  math.log2(1.0 - math.log(cfg.eta_s) * leak))
+        r_w = math.log2(1.0 - math.log(cfg.eta_s) * leak)
         want = (math.exp(-env.gamma_t * env.sigma_a2 / (q_b * env.c_ba))
                 * max(env.r_t - r_w, 0.0))
         assert arr["rate"][i] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -230,6 +229,22 @@ def test_optimize_fixed_beamformer_pins_covert_power(cfg, tmp_path):
     beam = _load(tmp_path / "beamformers.csv")
     assert np.all(beam["q_c"] == beam["q_c"][0])
     assert beam["q_c"][0] > 0
+
+
+@pytest.mark.parametrize("mode", ["jotb", "sotfb", "h0"])
+def test_optimize_failure_names_the_block_and_keeps_artifacts(
+        mode, tmp_path, monkeypatch, capsys):
+    """A trajectory block that raises ends every mode with exit code 2, an
+    error naming the round and block, and the run's artifacts on disk."""
+    def fail(*args, **kwargs):
+        raise trajectory.TrajectoryError("injected")
+
+    monkeypatch.setattr(trajectory, "solve_subproblem", fail)
+    rc = cli.main(["optimize", "--mode", mode, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OPTIMIZATION
+    assert "round 1, trajectory block" in capsys.readouterr().err
+    for name in ("trajectory.csv", "trace.csv", "manifest.json"):
+        assert os.path.exists(tmp_path / name)
 
 
 # ---------------------------------------------------------------------------
