@@ -11,10 +11,12 @@ isotropic mode uses the full-trace antenna gains, while the
 direction-aware mode projects explicit channel vectors onto a rank-one
 beam family mixing the covert user's own link with the leakage direction.
 The slot model itself (rate, redundancy, connection probabilities, and
-the covert-silent rule) lives in `kernels`; this module only chooses the
-powers and beams it is evaluated at.
+the covert-silent rule) lives in `kernels`, with its one input, the
+`kernels.SlotEnv` record that `kernels.slot_env` builds; this module only
+chooses the powers and beams it is evaluated at.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,81 +25,16 @@ import numpy as np
 
 from . import kernels, secmetrics
 from ._csvio import write_atomic_csv
+# the record, the function building it and its error, by their beamform names
+from .kernels import CovertBudgetError, SlotEnv, slot_env
 
-__all__ = ["CovertBudgetError", "SlotEnv", "slot_env", "env_from_vectors",
+__all__ = ["CovertBudgetError", "SlotEnv", "env_from_vectors",
            "slot_objective", "BsaResult", "bsa_optimize",
            "BsaBatch", "bsa_slots",
            "BeamformDecision", "decision_at", "decide_slot",
            "h0_decision", "H0Decision",
            "DirectionDecision", "choose_directions",
            "Oracle2dResult", "oracle_2d", "write_decisions_csv"]
-
-
-class CovertBudgetError(ValueError):
-    """Covert cover at the adversary exceeds the secret user's budget."""
-
-
-@dataclass(frozen=True)
-class SlotEnv:
-    """Scalar slot environment: received-power coefficients per unit
-    transmit power plus the rates and weights of the sum objective."""
-
-    c_ba: float      # secret air gain multiplying q_b
-    c_ca: float      # covert air gain multiplying q_c
-    c_cw: float      # covert adversary-side gain multiplying q_c
-    g_bw: float      # secret adversary-side gain multiplying q_b
-    q_b_max: float
-    q_c_max: float
-    sigma_a2: float
-    sigma_w2: float
-    gamma_t: float
-    gamma_c: float
-    neg_ln_eta: float
-    kappa: float
-    r_t: float
-    r_c: float
-
-    @property
-    def budget(self):
-        """Adversary-side received budget of the secret user at full power."""
-        return self.q_b_max * self.g_bw
-
-    @property
-    def q_c_feasible(self):
-        """Largest covert power honoring both the transmit cap and the
-        received-power coupling."""
-        if self.c_cw <= 0:
-            return self.q_c_max
-        return min(self.q_c_max, self.budget / self.c_cw)
-
-    def rate(self, q_c):
-        """Weighted slot rate at covert power(s) q_c (vectorized)."""
-        return kernels.slot_rate_curve(
-            q_c, self.c_ba, self.c_ca, self.c_cw, self.g_bw, self.q_b_max,
-            self.sigma_a2, self.sigma_w2, self.gamma_t, self.gamma_c,
-            self.neg_ln_eta, self.kappa, self.r_t, self.r_c)
-
-    def split_powers(self, q_c):
-        """(q_b, p_ba, p_ca, p_cw) at covert power q_c."""
-        p_cw = self.c_cw * q_c
-        if p_cw > self.budget * (1.0 + 1e-12):
-            raise CovertBudgetError(
-                f"covert cover {p_cw:.6g} W exceeds the adversary-side budget "
-                f"{self.budget:.6g} W (q_c must stay <= {self.q_c_feasible:.6g} W)")
-        q_b = max(self.q_b_max - p_cw / self.g_bw, 0.0)
-        return q_b, self.c_ba * q_b, self.c_ca * q_c, p_cw
-
-
-def slot_env(cfg, gains, slot=0):
-    """Isotropic-mode environment: full-trace antenna gains at one slot."""
-    return SlotEnv(
-        c_ba=float(gains.g_ba[slot]), c_ca=float(gains.g_ca[slot]),
-        c_cw=float(gains.g_cw), g_bw=float(gains.g_bw),
-        q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
-        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w,
-        gamma_t=cfg.gamma_t, gamma_c=cfg.gamma_c,
-        neg_ln_eta=-math.log(cfg.eta_s), kappa=cfg.kappa,
-        r_t=float(cfg.r_t), r_c=float(cfg.r_c))
 
 
 def _mixing_basis(h_ca, h_cw):
@@ -131,9 +68,10 @@ def env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=0.0):
     """Direction-aware environment for explicit channel vectors.
 
     The secret beam is maximum-ratio toward the receiver; the covert beam is
-    the family member at mixing angle theta. The secret user's adversary-side
-    coupling stays at the full-trace gain so the carved-power bookkeeping
-    remains feasible for every beam choice.
+    the family member at mixing angle theta, or one beam per angle when
+    theta is an array (the covert gains are then arrays too). The secret
+    user's adversary-side coupling stays at the full-trace gain so the
+    carved-power bookkeeping remains feasible for every beam choice.
     """
     h_ba = np.asarray(h_ba, dtype=complex)
     h_ca = np.asarray(h_ca, dtype=complex)
@@ -141,18 +79,15 @@ def env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=0.0):
     for name, h in (("h_ba", h_ba), ("h_ca", h_ca), ("h_cw", h_cw)):
         if np.linalg.norm(h) == 0:
             raise ValueError(f"channel vector {name} is zero")
-    e1, e2, alpha_abs, beta = _mixing_basis(h_ca, h_cw)
-    u_c = _beam(e1, e2, theta)
-    return SlotEnv(
-        c_ba=float(np.linalg.norm(h_ba) ** 2),
-        c_ca=float(np.abs(np.vdot(u_c, h_ca)) ** 2),
-        c_cw=float(np.abs(np.vdot(u_c, h_cw)) ** 2),
-        g_bw=float(gains.g_bw),
-        q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
-        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w,
-        gamma_t=cfg.gamma_t, gamma_c=cfg.gamma_c,
-        neg_ln_eta=-math.log(cfg.eta_s), kappa=cfg.kappa,
-        r_t=float(cfg.r_t), r_c=float(cfg.r_c))
+    e1, e2, _, _ = _mixing_basis(h_ca, h_cw)
+    beams = [_beam(e1, e2, float(t)) for t in np.ravel(theta)]
+    c_ca, c_cw = (np.array([np.abs(np.vdot(u, h)) ** 2 for u in beams])
+                  for h in (h_ca, h_cw))
+    if np.ndim(theta) == 0:
+        c_ca, c_cw = float(c_ca[0]), float(c_cw[0])
+    return dataclasses.replace(slot_env(cfg, gains),
+                               c_ba=float(np.linalg.norm(h_ba) ** 2),
+                               c_ca=c_ca, c_cw=c_cw)
 
 
 def slot_objective(q_c, cfg, gains, slot=0, env=None):
@@ -267,20 +202,18 @@ def _bsa_rows(rate, hi, zeta1, q_c_max, prescan=129):
                     evaluations=evals + 2 * iters + 1, iterations=iters)
 
 
-def _bsa_envs(envs, zeta1):
-    """`_bsa_rows` over slot environments that differ only in their gains
-    c_ba, c_ca and c_cw (one scenario, many slots or beams)."""
-    e = envs[0]
-    c_ba, c_ca, c_cw = np.array([[v.c_ba, v.c_ca, v.c_cw]
-                                 for v in envs]).T[:, :, None]
+def _bsa_env(env, zeta1):
+    """`_bsa_rows` over the slots (or beams) of an environment whose gains
+    c_ba, c_ca and c_cw are per-slot arrays or scalars."""
+    c_ba, c_ca, c_cw = (c[:, None] for c in np.broadcast_arrays(
+        env.c_ba, env.c_ca, env.c_cw))
 
     def rate(q, rows):
-        return kernels.slot_rate_curve(
-            q, c_ba[rows], c_ca[rows], c_cw[rows], e.g_bw, e.q_b_max,
-            e.sigma_a2, e.sigma_w2, e.gamma_t, e.gamma_c, e.neg_ln_eta,
-            e.kappa, e.r_t, e.r_c)
+        return kernels.slot_rate_curve(q, dataclasses.replace(
+            env, c_ba=c_ba[rows], c_ca=c_ca[rows], c_cw=c_cw[rows]))
 
-    return _bsa_rows(rate, [v.q_c_feasible for v in envs], zeta1, e.q_c_max)
+    hi = np.broadcast_to(env.q_c_feasible, c_ba.shape[:1])
+    return _bsa_rows(rate, hi, zeta1, env.q_c_max)
 
 
 def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
@@ -315,8 +248,7 @@ def bsa_slots(cfg, gains):
 
     Returns a `BsaBatch` whose entries equal the one-slot searches.
     """
-    envs = [slot_env(cfg, gains, s) for s in range(len(gains.g_ba))]
-    return _bsa_envs(envs, cfg.zeta1_w)
+    return _bsa_env(slot_env(cfg, gains), cfg.zeta1_w)
 
 
 @dataclass(frozen=True)
@@ -357,10 +289,7 @@ class BeamformDecision:
 
 def _decision_from_env(env, q_c, u_b, u_c, theta):
     env.split_powers(q_c)  # budget check with the named-bound error
-    t = kernels.h1_slot(q_c, env.c_ba, env.c_ca, env.c_cw, env.g_bw,
-                        env.q_b_max, env.sigma_a2, env.sigma_w2, env.gamma_t,
-                        env.gamma_c, math.exp(-env.neg_ln_eta), env.kappa,
-                        env.r_t, env.r_c)
+    t = kernels.h1_slot(q_c, env)
     return BeamformDecision(q_c=q_c, q_b=float(t.q_b), u_b=u_b, u_c=u_c,
                             theta=theta, r_w=float(t.r_w), r_s=float(t.r_s),
                             scp_h1=float(t.scp), ccp=float(t.scp * t.tail),
@@ -403,12 +332,10 @@ class H0Decision:
 def h0_decision(cfg, gains, slot=0):
     """Full-power maximum-ratio design with the covert user silent
     (`kernels.h0_slot`), with its secrecy outage."""
-    p_bw = cfg.q_b_max_w * float(gains.g_bw)
-    p_ba = cfg.q_b_max_w * float(gains.g_ba[slot])
-    t = kernels.h0_slot(p_ba, p_bw, cfg.sigma_a2_w, cfg.sigma_w2_w,
-                        cfg.gamma_t, cfg.eta_s, cfg.r_t)
-    sop0 = secmetrics.sop_h0(p_bw, cfg.sigma_w2_w, t.r_w)
-    return H0Decision(q_b=cfg.q_b_max_w, r_w=float(t.r_w),
+    env = slot_env(cfg, gains, slot)
+    t = kernels.h0_slot(env.q_b_max, env)
+    sop0 = secmetrics.sop_h0(env.budget, env.sigma_w2, t.r_w)
+    return H0Decision(q_b=env.q_b_max, r_w=float(t.r_w),
                       r_s=float(t.r_s), scp_h0=float(t.scp), sop_h0=sop0,
                       rate=float(t.rate))
 
@@ -453,13 +380,12 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
     zeta1 = cfg.zeta1_w if zeta1 is None else zeta1
 
     def score(cands):
-        """(theta, q_c, objective, env) of the best of the angles, the
-        first one on ties; one batched power search scores them all."""
-        envs = [env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=float(t))
-                for t in cands]
-        res = _bsa_envs(envs, zeta1)
+        """(theta, q_c, objective) of the best of the angles, the first one
+        on ties; one batched power search scores them all."""
+        res = _bsa_env(env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, cands),
+                       zeta1)
         i = int(np.argmax(res.objective))
-        return float(cands[i]), float(res.q_c[i]), res.objective[i], envs[i]
+        return float(cands[i]), float(res.q_c[i]), res.objective[i]
 
     best = score(angles)
     if angles.size > 1:
@@ -472,7 +398,8 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
             if local[2] > best[2]:
                 best = local
             span /= 4.0
-    theta, q_c, _, env = best
+    theta, q_c, _ = best
+    env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta)
     u_c = _beam(e1, e2, theta)
     decision = _decision_from_env(env, q_c, u_b, u_c, theta)
     return DirectionDecision(u_b=u_b, u_c=u_c, theta=theta,
@@ -501,16 +428,13 @@ def oracle_2d(cfg, gains, h_ba, h_ca, h_cw, grid=(64, 64)):
                                 np.asarray(h_cw, dtype=complex))
     angles = (np.array([0.0]) if e2 is None
               else np.linspace(0.0, 0.5 * math.pi, n_theta))
-    best = None
     q_grid = np.linspace(0.0, cfg.q_c_max_w, n_q)
-    for theta in angles:
-        env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=float(theta))
-        vals = env.rate(q_grid)
-        ix = int(np.argmax(vals))
-        if best is None or vals[ix] > best.objective:
-            best = Oracle2dResult(q_c=float(q_grid[ix]), theta=float(theta),
-                                  objective=float(vals[ix]))
-    return best
+    env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, angles)
+    vals = kernels.slot_rate_curve(q_grid, dataclasses.replace(
+        env, c_ca=env.c_ca[:, None], c_cw=env.c_cw[:, None]))
+    i, ix = np.unravel_index(np.argmax(vals), vals.shape)
+    return Oracle2dResult(q_c=float(q_grid[ix]), theta=float(angles[i]),
+                          objective=float(vals[i, ix]))
 
 
 _DECISION_COLUMNS = ("slot", "q_b", "q_c", "theta", "r_w", "r_s",

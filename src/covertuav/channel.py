@@ -21,7 +21,7 @@ __all__ = [
     "squared_horizontal_distance",
     "air_large_scale",
     "ground_large_scale",
-    "ground_gains",
+    "gains_for_slacks",
     "gains_for_positions",
     "rician_fading",
     "rayleigh_fading",
@@ -53,22 +53,13 @@ def ground_large_scale(cfg: ScenarioConfig, dist, xi):
     return cfg.eta0 * cfg.lambda0 * dist ** xi
 
 
-def ground_gains(cfg: ScenarioConfig):
-    """Per-antenna ground gains (a2_bw, a2_cw) of the secret and the covert
-    user's links to the adversary."""
-    d_bw = float(np.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1]))
-    d_cw = float(np.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1]))
-    return (ground_large_scale(cfg, d_bw, cfg.xi_bw),
-            ground_large_scale(cfg, d_cw, cfg.xi_cw))
-
-
 @dataclass(frozen=True)
 class ChannelGains:
     """Large-scale gains along a flight path.
 
     Air-side arrays are indexed by slot (same length as the position stack
-    they were built from); ground-side gains are scalars (the adversary and
-    the users do not move).
+    or slack arrays they were built from); ground-side gains are scalars
+    (the adversary and the users do not move).
     """
 
     mu_ba: np.ndarray   # squared horizontal UAV-to-secret-user distances
@@ -87,14 +78,18 @@ class ChannelGains:
             getattr(self, nm).setflags(write=False)
 
 
-def gains_for_positions(cfg: ScenarioConfig, positions) -> ChannelGains:
-    """Evaluate all large-scale gains for a stack of UAV positions (M, 2)."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    mu_ba = squared_horizontal_distance(positions, cfg.l_b)
-    mu_ca = squared_horizontal_distance(positions, cfg.l_c)
+def gains_for_slacks(cfg: ScenarioConfig, mu_ba, mu_ca) -> ChannelGains:
+    """Evaluate all large-scale gains at squared horizontal UAV-to-user
+    distances (scalars or per-slot arrays)."""
+    # copies: the table freezes its arrays, and must not freeze the caller's
+    mu_ba = np.array(mu_ba, dtype=float)
+    mu_ca = np.array(mu_ca, dtype=float)
     a2_ba = air_large_scale(cfg, mu_ba, cfg.xi_ba)
     a2_ca = air_large_scale(cfg, mu_ca, cfg.xi_ca)
-    a2_bw, a2_cw = ground_gains(cfg)
+    d_bw = float(np.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1]))
+    d_cw = float(np.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1]))
+    a2_bw = ground_large_scale(cfg, d_bw, cfg.xi_bw)
+    a2_cw = ground_large_scale(cfg, d_cw, cfg.xi_cw)
     return ChannelGains(
         mu_ba=mu_ba, mu_ca=mu_ca,
         a2_ba=a2_ba, a2_ca=a2_ca,
@@ -102,6 +97,14 @@ def gains_for_positions(cfg: ScenarioConfig, positions) -> ChannelGains:
         g_ba=cfg.n_b * a2_ba, g_ca=cfg.n_c * a2_ca,
         g_bw=cfg.n_b * a2_bw, g_cw=cfg.n_c * a2_cw,
     )
+
+
+def gains_for_positions(cfg: ScenarioConfig, positions) -> ChannelGains:
+    """Evaluate all large-scale gains for a stack of UAV positions (M, 2)."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    return gains_for_slacks(
+        cfg, squared_horizontal_distance(positions, cfg.l_b),
+        squared_horizontal_distance(positions, cfg.l_c))
 
 
 def rician_fading(rng: np.random.Generator, n_antennas: int, k: float, size: int = 1):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import beamform, channel, kernels, mc_oracle, orchestrator, \
     scenario, secmetrics, trajectory
-from ._csvio import write_atomic_csv
+from ._csvio import atomic_open, write_atomic_csv
 from .rng import make_rng
 
 __all__ = [
@@ -68,11 +68,9 @@ class RunManifest:
     def write(self, path):
         payload = asdict(self)
         payload["files"] = list(self.files)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def _slot0_env(cfg):
     """Slot-0 power environment on the straight-ferry starting path."""
     plan = trajectory.initial_plan(cfg)
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    return beamform.slot_env(cfg, gains, 0)
+    return kernels.slot_env(cfg, gains, 0)
 
 
 def default_sweep(figure, cfg):
@@ -207,8 +205,7 @@ def cmd_rate_vs_power(cfg, mode, outdir, num=10_001):
         return [name]
 
     grid = np.linspace(1e-6 * cfg.q_b_max_w, cfg.q_b_max_w, num)
-    rate = kernels.h0_slot(grid * env.c_ba, grid * env.g_bw, env.sigma_a2,
-                           env.sigma_w2, env.gamma_t, cfg.eta_s, env.r_t).rate
+    rate = kernels.h0_slot(grid, env).rate
     rows = list(zip(grid.tolist(), rate.tolist()))
     write_atomic_csv(os.path.join(outdir, name), ("q_b", "rate"), rows)
     return [name]
@@ -234,10 +231,11 @@ def cmd_optimize(cfg, mode, outdir, kappa=None, max_iters=50):
               "sotfb": orchestrator.run_sotfb,
               "h0": orchestrator.run_h0_benchmark}[mode]
     trace = runner(cfg, max_iters=max_iters)
-    orchestrator.write_run_artifacts(outdir, cfg, trace)
-    files = ["trace.csv", "beamformers.csv", "trajectory.csv", "config.yaml"]
+    files = orchestrator.write_run_artifacts(outdir, cfg, trace)
+    # only jotb alternates; sotfb and h0 make one trajectory-block call
+    steps = "outer rounds" if mode == "jotb" else "refinement iterations"
     print(f"{mode}: objective {trace.objective:.6f} after "
-          f"{trace.iterations} outer rounds "
+          f"{trace.iterations} {steps} "
           f"({'converged' if trace.converged else 'iteration cap'})")
     if trace.error:
         print(f"optimization failed: {trace.error}", file=sys.stderr)
@@ -371,10 +369,8 @@ def cmd_validate(cfg, outdir, seed=0, samples=100_000, quick=False):
     lines = [f"{'PASS' if ok else 'FAIL'} {text}" for ok, text in report]
     failures = sum(1 for ok, _ in report if not ok)
     lines.append(f"{len(report) - failures}/{len(report)} checks passed")
-    tmp = os.path.join(outdir, "report.txt.tmp")
-    with open(tmp, "w") as fh:
+    with atomic_open(os.path.join(outdir, "report.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, os.path.join(outdir, "report.txt"))
     print("\n".join(lines))
     return (EXIT_VALIDATION if failures else EXIT_OK,
             ["agreement.csv", "report.txt"])

@@ -5,27 +5,100 @@ Every planner path evaluates the per-slot rate here: the power search
 decisions, the trajectory rate and its linearization, and the
 covert-silent benchmark. `h1_slot` is the covert-active model and
 `h0_slot` the covert-silent one; both broadcast over arrays of slots.
-The closed forms in `secmetrics` (`scp_h1`, `ccp`, ...) stay the reference
-the Monte Carlo oracle and the tests compare against.
+Their one input is a `SlotEnv` record, which also holds the
+received-power coupling; `slot_env` builds it from a scenario and a gain
+table. The closed forms in `secmetrics` (`scp_h1`, `ccp`, ...) stay the
+reference the Monte Carlo oracle and the tests compare against.
 
 `radiometer_statistic` is the per-trial statistic of the detection Monte
 Carlo; random draws happen outside it.
 """
 
-import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import secmetrics
 
-__all__ = ["active_backend", "H1Terms", "h1_slot", "H0Terms", "h0_slot",
+__all__ = ["active_backend", "CovertBudgetError", "SlotEnv", "slot_env",
+           "H1Terms", "h1_slot", "H0Terms", "h0_slot",
            "radiometer_statistic", "slot_rate_curve"]
 
 
 def active_backend():
     """Name of the array backend (numpy is the only one)."""
     return "numpy"
+
+
+class CovertBudgetError(ValueError):
+    """Covert cover at the adversary exceeds the secret user's budget."""
+
+
+@dataclass(frozen=True)
+class SlotEnv:
+    """Slot environment: received-power gains per unit transmit power plus
+    the powers, noise, thresholds and weights of the sum objective. The
+    gains c_ba, c_ca and c_cw are scalars for one slot, or arrays with one
+    entry per slot (or beam) that broadcast together."""
+
+    c_ba: float      # secret air gain multiplying q_b
+    c_ca: float      # covert air gain multiplying q_c
+    c_cw: float      # covert adversary-side gain multiplying q_c
+    g_bw: float      # secret adversary-side gain multiplying q_b
+    q_b_max: float
+    q_c_max: float
+    sigma_a2: float
+    sigma_w2: float
+    gamma_t: float
+    gamma_c: float
+    eta_s: float     # secrecy outage cap
+    kappa: float
+    r_t: float
+    r_c: float
+
+    @property
+    def budget(self):
+        """Adversary-side received budget of the secret user at full power."""
+        return self.q_b_max * self.g_bw
+
+    @property
+    def q_c_feasible(self):
+        """Largest covert power honoring both the transmit cap and the
+        received-power coupling, per slot when c_cw is an array."""
+        with np.errstate(divide="ignore"):   # no cover: only the cap binds
+            cap = np.minimum(self.q_c_max,
+                             self.budget / np.asarray(self.c_cw, dtype=float))
+        return cap if cap.ndim else float(cap)
+
+    def rate(self, q_c):
+        """Weighted slot rate at covert power(s) q_c (`slot_rate_curve`)."""
+        return slot_rate_curve(q_c, self)
+
+    def split_powers(self, q_c):
+        """(q_b, p_ba, p_ca, p_cw) of one slot at covert power q_c."""
+        p_cw = self.c_cw * q_c
+        if p_cw > self.budget * (1.0 + 1e-12):
+            raise CovertBudgetError(
+                f"covert cover {p_cw:.6g} W exceeds the adversary-side budget "
+                f"{self.budget:.6g} W (q_c must stay <= {self.q_c_feasible:.6g} W)")
+        q_b = max(self.q_b_max - p_cw / self.g_bw, 0.0)
+        return q_b, self.c_ba * q_b, self.c_ca * q_c, p_cw
+
+
+def slot_env(cfg, gains, slot=None):
+    """Isotropic slot environment of scenario cfg on the gain table `gains`
+    (`channel.ChannelGains`): the table's per-slot air gains, or with a
+    slot index that slot's scalars."""
+    c_ba, c_ca = gains.g_ba, gains.g_ca
+    if slot is not None:
+        c_ba, c_ca = float(c_ba[slot]), float(c_ca[slot])
+    return SlotEnv(
+        c_ba=c_ba, c_ca=c_ca, c_cw=float(gains.g_cw), g_bw=float(gains.g_bw),
+        q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
+        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w,
+        gamma_t=cfg.gamma_t, gamma_c=cfg.gamma_c, eta_s=cfg.eta_s,
+        kappa=cfg.kappa, r_t=float(cfg.r_t), r_c=float(cfg.r_c))
 
 
 class H1Terms(NamedTuple):
@@ -48,8 +121,7 @@ class H1Terms(NamedTuple):
     d_ca: np.ndarray = None
 
 
-def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
-            gamma_t, gamma_c, eta_s, kappa, r_t, r_c, chain=None):
+def h1_slot(q_c, env, chain=None):
     """Weighted secret/covert slot rate with the covert user transmitting.
 
     The cover c_cw*q_c received by the adversary is carved out of the secret
@@ -58,9 +130,9 @@ def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
     (`secmetrics.secrecy_redundancy`). The secret stream connects with
     probability scp over the faded covert interference; the covert stream
     also needs its own link to clear gamma_c. The rate is
-    kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c, c_ba, c_ca and c_cw may
-    be per-slot arrays that broadcast together; the rest are scalars. Cover
-    beyond the budget is not masked here (`slot_rate_curve` does that).
+    kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c may be a per-slot array
+    that broadcasts with the gains of the `SlotEnv` env. Cover beyond the
+    budget is not masked here (`slot_rate_curve` does that).
 
     With chain = (s_ba, s_ca), the per-slot derivatives of ln c_ba and
     ln c_ca in some variables x_ba and x_ca, the rate's partials in x_ba and
@@ -69,14 +141,15 @@ def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
     nearly cancels keeps the rounding of a direct evaluation.
     """
     q_c = np.asarray(q_c, dtype=float)
-    budget = q_b_max * g_bw
-    p_cw = c_cw * q_c
-    q_b = np.maximum(q_b_max - p_cw / g_bw, 0.0)
-    p_ba = c_ba * q_b
-    p_ca = c_ca * q_c
+    sigma_a2, gamma_t, gamma_c = env.sigma_a2, env.gamma_t, env.gamma_c
+    kappa, budget = env.kappa, env.budget
+    p_cw = env.c_cw * q_c
+    q_b = np.maximum(env.q_b_max - p_cw / env.g_bw, 0.0)
+    p_ba = env.c_ba * q_b
+    p_ca = env.c_ca * q_c
     r_w = secmetrics.secrecy_redundancy(budget, np.minimum(p_cw, budget),
-                                        sigma_w2, eta_s)
-    r_s = np.maximum(r_t - r_w, 0.0)
+                                        env.sigma_w2, env.eta_s)
+    r_s = np.maximum(env.r_t - r_w, 0.0)
     num = p_ba - gamma_t * sigma_a2
     live = p_ca > 0
     # a vanishing interference sends the ratio to +inf (scp -> 1), the limit
@@ -91,7 +164,7 @@ def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
                    (num >= 0) * 1.0)
     if gamma_t <= 0:
         scp = np.ones_like(scp)
-    rate = kappa * scp * r_s + (1.0 - kappa) * scp * tail * r_c
+    rate = kappa * scp * r_s + (1.0 - kappa) * scp * tail * env.r_c
     if chain is None:
         return H1Terms(q_b, p_ba, p_ca, p_cw, r_w, r_s, scp, tail, rate)
     s_ba, s_ca = chain
@@ -105,7 +178,7 @@ def h1_slot(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
                                           / np.where(live, p_ca, 1.0)) * s_ca,
                             0.0)
         dscp_ca = damp * np.where(interior, -ratio * s_ca, 0.0)
-    w_cov = (1.0 - kappa) * r_c
+    w_cov = (1.0 - kappa) * env.r_c
     d_ba = (kappa * r_s + w_cov * tail) * dscp_ba
     d_ca = kappa * r_s * dscp_ca + w_cov * (tail * dscp_ca + scp * dtail_ca)
     return H1Terms(q_b, p_ba, p_ca, p_cw, r_w, r_s, scp, tail, rate, d_ba, d_ca)
@@ -122,24 +195,27 @@ class H0Terms(NamedTuple):
     d_ba: np.ndarray = None
 
 
-def h0_slot(p_ba, p_bw, sigma_a2, sigma_w2, gamma_t, eta_s, r_t, chain=None):
+def h0_slot(q_b, env, chain=None):
     """Secret-only slot rate with the covert user silent.
 
-    The redundancy rate holds the secrecy outage at eta_s by the rule the
+    The secret user transmits q_b, which broadcasts with env's gains. The
+    redundancy rate holds the secrecy outage at eta_s by the rule the
     covert-active model uses at zero cover (`secmetrics.secrecy_redundancy`,
     which is then `redundancy_for_outage_cap`); the secret stream connects
-    with the Rayleigh tail exp(-gamma_t sigma_a2 / p_ba). p_ba and p_bw may
-    be arrays that broadcast together. With chain, the per-slot derivative
-    of ln p_ba in some x, the rate's partial in x is returned as well.
+    with the Rayleigh tail exp(-gamma_t sigma_a2 / p_ba). With chain, the
+    per-slot derivative of ln c_ba in some x, the rate's partial in x is
+    returned as well.
     """
-    r_w = secmetrics.secrecy_redundancy(p_bw, 0.0, sigma_w2, eta_s)
-    r_s = np.maximum(r_t - r_w, 0.0)
-    scp = np.exp(-gamma_t * sigma_a2 / p_ba)
+    p_ba = env.c_ba * q_b
+    r_w = secmetrics.secrecy_redundancy(env.g_bw * q_b, 0.0, env.sigma_w2,
+                                        env.eta_s)
+    r_s = np.maximum(env.r_t - r_w, 0.0)
+    scp = np.exp(-env.gamma_t * env.sigma_a2 / p_ba)
     rate = scp * r_s
     if chain is None:
         return H0Terms(r_w, r_s, scp, rate)
     return H0Terms(r_w, r_s, scp, rate,
-                   rate * (gamma_t * sigma_a2 / p_ba) * chain)
+                   rate * (env.gamma_t * env.sigma_a2 / p_ba) * chain)
 
 
 def radiometer_statistic(draws, scale):
@@ -157,29 +233,24 @@ def radiometer_statistic(draws, scale):
     return (draws * draws).sum(axis=1) * (float(scale) / draws.shape[1])
 
 
-def slot_rate_curve(q_c, c_ba, c_ca, c_cw, g_bw, q_b_max, sigma_a2, sigma_w2,
-                    gamma_t, gamma_c, neg_ln_eta, kappa, r_t, r_c):
-    """Weighted slot rate (`h1_slot`) over an array of covert transmit powers.
+def slot_rate_curve(q_c, env):
+    """Weighted slot rate (`h1_slot`) of the `SlotEnv` env over an array of
+    covert transmit powers.
 
-    The outage cap is eta_s = exp(-neg_ln_eta). Infeasible powers (cover
-    exceeding the budget) map to -inf so grid argmax skips them. The gains
-    c_ba, c_ca and c_cw may be per-slot columns (shape (k, 1)) that
-    broadcast against a (k, m) q_c, one row of powers per slot; otherwise
-    q_c is scalar or one-dimensional. Scalar q_c with scalar gains returns
-    a scalar.
+    Infeasible powers (cover exceeding the budget) map to -inf so grid
+    argmax skips them. The gains of env may be per-slot columns (shape
+    (k, 1)) that broadcast against a (k, m) q_c, one row of powers per
+    slot; otherwise q_c is scalar or one-dimensional. Scalar q_c with
+    scalar gains returns a scalar.
     """
     q = np.ascontiguousarray(np.atleast_1d(q_c), dtype=np.float64)
-    gains = [np.asarray(c, dtype=np.float64) for c in (c_ba, c_ca, c_cw)]
-    if q.ndim > max(1, *(c.ndim for c in gains)):
+    if q.ndim > max(1, *(np.ndim(c) for c in (env.c_ba, env.c_ca, env.c_cw))):
         raise ValueError("q_c must be scalar or one-dimensional, "
                          "or have one row per slot of the gains")
-    if g_bw <= 0:
+    if env.g_bw <= 0:
         raise ValueError("g_bw must be positive")
     if (q < 0).any():
         raise ValueError("q_c must be nonnegative")
-    t = h1_slot(q, *gains, float(g_bw),
-                float(q_b_max), float(sigma_a2), float(sigma_w2),
-                float(gamma_t), float(gamma_c), math.exp(-float(neg_ln_eta)),
-                float(kappa), float(r_t), float(r_c))
-    out = np.where(t.p_cw <= float(q_b_max) * float(g_bw), t.rate, -np.inf)
+    t = h1_slot(q, env)
+    out = np.where(t.p_cw <= env.budget, t.rate, -np.inf)
     return float(out[0]) if np.ndim(q_c) == 0 and out.size == 1 else out

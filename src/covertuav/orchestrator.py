@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamform, channel, scenario, trajectory
+from . import beamform, channel, kernels, scenario, trajectory
 from ._csvio import write_atomic_csv
 
 __all__ = [
@@ -73,9 +73,9 @@ def _run(cfg, power, max_iters, tol):
 
     "search" starts every slot at zero and alternates the exact per-slot
     power search with the trajectory block. "pinned" fixes every slot at
-    min(q_c_max, q_c_feasible) of the starting plan, and "silent" at zero
-    with the covert-silent slot model; with the powers fixed there is
-    nothing to alternate, so the trajectory block runs once.
+    the q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
+    "silent" at zero with the covert-silent slot model; with the powers
+    fixed there is nothing to alternate, so the trajectory block runs once.
     """
     if tol is None:
         tol = cfg.bcd_tol
@@ -84,8 +84,7 @@ def _run(cfg, power, max_iters, tol):
     q_c = np.zeros(plan.n_slots)
     if power == "pinned":
         gains = channel.gains_for_positions(cfg, plan.comm_positions)
-        q_c[:] = min(cfg.q_c_max_w,
-                     beamform.slot_env(cfg, gains, 0).q_c_feasible)
+        q_c[:] = kernels.slot_env(cfg, gains, 0).q_c_feasible
     h0 = power == "silent"
     obj = trajectory.trajectory_objective(plan, q_c, cfg, h0=h0)
     objectives = [obj]
@@ -212,13 +211,19 @@ def write_pareto_csv(path, rows):
 
 def write_run_artifacts(outdir, cfg, trace, pareto_rows=None):
     """Write trace.csv, beamformers.csv, trajectory.csv, the config
-    snapshot, and (when given) pareto.csv under one directory."""
+    snapshot, and (when given) pareto.csv under one directory; returns the
+    names of the files written."""
     os.makedirs(outdir, exist_ok=True)
-    write_trace_csv(os.path.join(outdir, "trace.csv"), trace)
-    beamform.write_decisions_csv(os.path.join(outdir, "beamformers.csv"),
-                                 trace.decisions)
-    trajectory.write_plan_csv(os.path.join(outdir, "trajectory.csv"),
-                              trace.plan)
-    scenario.save_scenario(cfg, os.path.join(outdir, "config.yaml"))
+    names = []
+
+    def path(name):
+        names.append(name)
+        return os.path.join(outdir, name)
+
+    write_trace_csv(path("trace.csv"), trace)
+    beamform.write_decisions_csv(path("beamformers.csv"), trace.decisions)
+    trajectory.write_plan_csv(path("trajectory.csv"), trace.plan)
+    scenario.save_scenario(cfg, path("config.yaml"))
     if pareto_rows is not None:
-        write_pareto_csv(os.path.join(outdir, "pareto.csv"), pareto_rows)
+        write_pareto_csv(path("pareto.csv"), pareto_rows)
+    return names

@@ -10,10 +10,11 @@ variants with :func:`with_overrides`.
 import dataclasses
 import importlib.resources
 import math
-import os
 from dataclasses import dataclass
 
 import yaml
+
+from ._csvio import atomic_open
 
 __all__ = [
     "ScenarioConfig",
@@ -301,10 +302,8 @@ def _to_file_dict(c: ScenarioConfig) -> dict:
 
 def save_scenario(c: ScenarioConfig, path: str):
     """Write a scenario back to the file format (atomic: temp + rename)."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
+    with atomic_open(path) as f:
         yaml.safe_dump(_to_file_dict(c), f, sort_keys=False)
-    os.replace(tmp, path)
 
 
 def with_overrides(c: ScenarioConfig, **kw) -> ScenarioConfig:

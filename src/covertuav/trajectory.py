@@ -180,28 +180,19 @@ def initial_plan(cfg):
 def _slot_model(mu_ba, mu_ca, q_c, cfg, h0, grad):
     """Slot rates at the slacks (`kernels.h1_slot`, or `kernels.h0_slot`
     with h0) and, with grad, their partials in the slacks."""
-    mu_ba = np.asarray(mu_ba, dtype=float)
-    mu_ca = np.asarray(mu_ca, dtype=float)
+    gains = channel.gains_for_slacks(cfg, mu_ba, mu_ca)
+    env = kernels.slot_env(cfg, gains)
     chain = None
     if grad:
         # the air gains go as (H^2 + mu)^(xi/2): d ln g / d mu = xi/(2(H^2 + mu))
         h2 = cfg.h_m ** 2
-        chain = (cfg.xi_ba / (2.0 * (h2 + mu_ba)),
-                 cfg.xi_ca / (2.0 * (h2 + mu_ca)))
-    a2_bw, a2_cw = channel.ground_gains(cfg)
-    g_bw = cfg.n_b * a2_bw
-    g_ba = cfg.n_b * channel.air_large_scale(cfg, mu_ba, cfg.xi_ba)
+        chain = (cfg.xi_ba / (2.0 * (h2 + gains.mu_ba)),
+                 cfg.xi_ca / (2.0 * (h2 + gains.mu_ca)))
     if h0:
-        t = kernels.h0_slot(cfg.q_b_max_w * g_ba, cfg.q_b_max_w * g_bw,
-                            cfg.sigma_a2_w, cfg.sigma_w2_w, cfg.gamma_t,
-                            cfg.eta_s, cfg.r_t,
+        t = kernels.h0_slot(env.q_b_max, env,
                             chain=chain[0] if grad else None)
         return t.rate, t.d_ba, (np.zeros_like(t.rate) if grad else None)
-    g_ca = cfg.n_c * channel.air_large_scale(cfg, mu_ca, cfg.xi_ca)
-    t = kernels.h1_slot(q_c, g_ba, g_ca, cfg.n_c * a2_cw, g_bw,
-                        cfg.q_b_max_w, cfg.sigma_a2_w, cfg.sigma_w2_w,
-                        cfg.gamma_t, cfg.gamma_c, cfg.eta_s, cfg.kappa,
-                        cfg.r_t, cfg.r_c, chain=chain)
+    t = kernels.h1_slot(q_c, env, chain=chain)
     return t.rate, t.d_ba, t.d_ca
 
 

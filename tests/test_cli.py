@@ -231,6 +231,19 @@ def test_optimize_fixed_beamformer_pins_covert_power(cfg, tmp_path):
     assert beam["q_c"][0] > 0
 
 
+@pytest.mark.parametrize("mode, steps", [
+    ("jotb", "outer rounds"), ("sotfb", "refinement iterations"),
+    ("h0", "refinement iterations")])
+def test_optimize_names_what_it_counts(cfg, mode, steps, tmp_path, capsys):
+    """Only the joint run alternates; the one-block benchmarks report the
+    refinement iterations of their single trajectory-block call. The
+    returned file list is what landed on disk."""
+    code, files = cli.cmd_optimize(cfg, mode, str(tmp_path), max_iters=1)
+    assert code == cli.EXIT_OK
+    assert f"after 1 {steps} " in capsys.readouterr().out
+    assert sorted(files) == sorted(os.listdir(tmp_path))
+
+
 @pytest.mark.parametrize("mode", ["jotb", "sotfb", "h0"])
 def test_optimize_failure_names_the_block_and_keeps_artifacts(
         mode, tmp_path, monkeypatch, capsys):

@@ -1,22 +1,23 @@
 """Numerical kernels: the slot-rate curve and the radiometer statistic."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
-from covertuav import beamform, kernels, secmetrics
+from covertuav import beamform, channel, kernels, secmetrics, trajectory
+from covertuav.scenario import with_overrides
 
 
-CANON = dict(c_ba=5.882352941176471e-07, c_ca=9.756097560975609e-07,
-             c_cw=1.0245260037354589e-09, g_bw=7.071067811865476e-09,
-             q_b_max=1.0, sigma_a2=1e-12, sigma_w2=1e-12,
-             gamma_t=2.0 ** 16 - 1.0, gamma_c=15.0,
-             neg_ln_eta=-np.log(0.01), kappa=0.5, r_t=16.0, r_c=4.0)
+CANON = kernels.SlotEnv(c_ba=5.882352941176471e-07, c_ca=9.756097560975609e-07,
+                        c_cw=1.0245260037354589e-09, g_bw=7.071067811865476e-09,
+                        q_b_max=1.0, q_c_max=1e-3, sigma_a2=1e-12,
+                        sigma_w2=1e-12, gamma_t=2.0 ** 16 - 1.0, gamma_c=15.0,
+                        eta_s=0.01, kappa=0.5, r_t=16.0, r_c=4.0)
 
 
 def _curve(q):
-    return kernels.slot_rate_curve(q, **CANON)
+    return kernels.slot_rate_curve(q, CANON)
 
 
 def test_slot_rate_scalar_in_scalar_out():
@@ -31,7 +32,7 @@ def test_slot_rate_input_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         _curve(-1e-6)
     with pytest.raises(ValueError, match="g_bw"):
-        kernels.slot_rate_curve(1e-6, **{**CANON, "g_bw": 0.0})
+        kernels.slot_rate_curve(1e-6, dataclasses.replace(CANON, g_bw=0.0))
     with pytest.raises(ValueError, match="one-dimensional"):
         _curve(np.zeros((2, 2)))
 
@@ -39,22 +40,22 @@ def test_slot_rate_input_validation():
 def test_slot_rate_rows_of_slots():
     """Per-slot gain columns against a (slots, powers) grid give each row
     exactly its own one-slot curve, the -inf mask included."""
-    c_ba = CANON["c_ba"] * np.array([[1.0], [0.5], [2.0]])
-    c_cw = CANON["c_cw"] * np.array([[1.0], [3.0], [1e4]])
+    c_ba = CANON.c_ba * np.array([[1.0], [0.5], [2.0]])
+    c_cw = CANON.c_cw * np.array([[1.0], [3.0], [1e4]])
     q = np.linspace(0.0, 1e-3, 7) * np.ones((3, 1))
     rows = kernels.slot_rate_curve(
-        q, **{**CANON, "c_ba": c_ba, "c_cw": c_cw})
+        q, dataclasses.replace(CANON, c_ba=c_ba, c_cw=c_cw))
     assert rows.shape == (3, 7)
     for r in range(3):
         one = kernels.slot_rate_curve(
-            q[r], **{**CANON, "c_ba": c_ba[r, 0], "c_cw": c_cw[r, 0]})
+            q[r], dataclasses.replace(CANON, c_ba=c_ba[r, 0], c_cw=c_cw[r, 0]))
         assert np.array_equal(rows[r], one)
     assert np.isneginf(rows[2, -1]) and np.isfinite(rows[2, 0])
 
 
 def test_slot_rate_infeasible_is_minus_inf():
     # cover demand c_cw * q exceeding q_b_max * g_bw cannot be masked
-    q_limit = CANON["q_b_max"] * CANON["g_bw"] / CANON["c_cw"]
+    q_limit = CANON.q_b_max * CANON.g_bw / CANON.c_cw
     assert _curve(2.0 * q_limit) == -np.inf
     assert np.isfinite(_curve(0.5 * q_limit))
 
@@ -77,21 +78,29 @@ def test_radiometer_input_validation():
         kernels.radiometer_statistic(np.zeros((4, 8)), 0.0)
 
 
-def test_kernel_matches_slot_env_rate(cfg, gains0):
-    """The raw kernel and the slot wrapper describe the same curve, and at
-    seeded random slots the packaged decision is the same evaluation, with
-    metrics matching the closed-form references."""
+@pytest.mark.parametrize("overrides", [{}, dict(n_b=4, n_c=2, eta_s=0.05)],
+                         ids=["paper_default", "n_b4_n_c2_eta0.05"])
+def test_kernel_matches_slot_env_rate(cfg, overrides):
+    """The raw kernel on a record spelled out from the scenario and the
+    slot wrapper describe the same curve, and at seeded random slots the
+    packaged decision is the same evaluation, with metrics matching the
+    closed-form references."""
+    cfg = with_overrides(cfg, **overrides)
+    gains0 = channel.gains_for_positions(
+        cfg, trajectory.initial_plan(cfg).comm_positions)
     env = beamform.slot_env(cfg, gains0, 0)
     q = np.linspace(0.0, env.q_c_feasible, 64)
-    direct = kernels.slot_rate_curve(
-        q, c_ba=env.c_ba, c_ca=env.c_ca, c_cw=env.c_cw, g_bw=env.g_bw,
-        q_b_max=env.q_b_max, sigma_a2=env.sigma_a2, sigma_w2=env.sigma_w2,
-        gamma_t=env.gamma_t, gamma_c=env.gamma_c, neg_ln_eta=env.neg_ln_eta,
-        kappa=env.kappa, r_t=env.r_t, r_c=env.r_c)
+    direct = kernels.slot_rate_curve(q, kernels.SlotEnv(
+        c_ba=float(gains0.g_ba[0]), c_ca=float(gains0.g_ca[0]),
+        c_cw=float(gains0.g_cw), g_bw=float(gains0.g_bw),
+        q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
+        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w,
+        gamma_t=cfg.gamma_t, gamma_c=cfg.gamma_c, eta_s=cfg.eta_s,
+        kappa=cfg.kappa, r_t=cfg.r_t, r_c=cfg.r_c))
     np.testing.assert_allclose(env.rate(q), direct, rtol=1e-13)
 
     rng = np.random.default_rng(11)
-    eta = math.exp(-env.neg_ln_eta)
+    eta = cfg.eta_s
     for slot in map(int, rng.integers(0, len(gains0.g_ba), 24)):
         env = beamform.slot_env(cfg, gains0, slot)
         q = float(rng.uniform(0.0, env.q_c_feasible))

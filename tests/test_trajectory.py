@@ -84,14 +84,20 @@ def test_check_feasible_named_failures(cfg, plan0):
 
 # -- rate as a function of the slack distances ----------------------------------
 
-def test_rate_of_mu_matches_slot_objective(cfg, plan0, gains0):
+@pytest.mark.parametrize("overrides, pinned", [
+    ({}, 0.7729374073994921),
+    (dict(n_b=4, n_c=2, eta_s=0.05), 0.7272606034550808)],
+    ids=["paper_default", "n_b4_n_c2_eta0.05"])
+def test_rate_of_mu_matches_slot_objective(cfg, plan0, overrides, pinned):
     """Identity between the geometry path and the gain-table path; at
     seeded random slots the slack model, the power search's curve and the
     packaged decision are one evaluation."""
+    cfg = with_overrides(cfg, **overrides)
+    gains0 = channel.gains_for_positions(cfg, plan0.comm_positions)
     got = trajectory.rate_of_mu(130000.0, 62500.0, 5e-6, cfg)
     ref = beamform.slot_objective(5e-6, cfg, gains0, slot=0)
     assert got == pytest.approx(ref, rel=1e-12)
-    assert got == pytest.approx(0.7729374073994921, rel=1e-9)
+    assert got == pytest.approx(pinned, rel=1e-9)
 
     rng = np.random.default_rng(5)
     for slot in map(int, rng.integers(0, plan0.n_slots, 24)):
