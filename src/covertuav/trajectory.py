@@ -7,12 +7,16 @@ partials in the log air gains come from `kernels`; here they are chained
 to the slacks. Each refinement round
 linearizes R at the current path (analytic partial derivatives), solves a
 concave quadratic subproblem over the acceleration profile — discrete
-kinematics, speed box, linearized minimum-speed bound, endpoint pins — with
-a self-contained log-barrier Newton method, then blends the step until the
-true objective does not decrease. The Newton method runs over the stacked
-per-slot states (position, velocity, acceleration) with the kinematics as
-equality rows, so its KKT system is banded and each step costs O(N)
-(the interior-point layout of Wang & Boyd, "Fast Model Predictive Control
+kinematics, speed and acceleration caps as second-order cones, linearized
+minimum-speed bound, endpoint pins — then blends the step until the true
+objective does not decrease. The subproblem is solved by a self-contained
+primal-dual interior-point method with Nesterov-Todd scaling and Mehrotra
+predictor-corrector steps (Vandenberghe, "The CVXOPT linear and quadratic
+cone program solvers", 2010; Domahidi, Chu & Boyd, "ECOS: An SOCP solver
+for embedded systems", ECC 2013). It runs over the stacked per-slot states
+(position, velocity, acceleration) with the kinematics as equality rows, so
+its KKT system is banded and one iteration costs one O(N) band
+factorization (the layout of Wang & Boyd, "Fast Model Predictive Control
 Using Online Optimization", IEEE TCST 2010).
 
 Conventions: a plan holds N+1 nodes (0..N). Node 0 is the launch point,
@@ -286,8 +290,10 @@ def _kkt_band(n, n_pin, dt):
     kinematic rows p_k = p_{k-1} + dt v_{k-1} + dt^2/2 a_k and
     v_k = v_{k-1} + dt a_k, then rows 10(k-1) + 4..9, its state
     (p_k, v_k, a_k); the n_pin rows pinning node N come last. Returns the
-    half-bandwidth, the band storage holding the equality entries and the
-    (row, col) band indices of the three 2x2 Hessian blocks per node.
+    half-bandwidth h, the band storage holding the equality entries in
+    LAPACK's `dgbtrf` layout (entry (i, j) at row 2h + i - j; the top h
+    rows are room for the factor's fill) and the (row, col) band indices
+    of the three 2x2 Hessian blocks per node.
     """
     node = 10 * np.arange(n)
     rows, cols, vals = [], [], []
@@ -311,14 +317,97 @@ def _kkt_band(n, n_pin, dt):
                 np.array([10 * (n - 1) + 4 + 2 * (pin // 2) + d]), 1.0)
     r, c, val = (np.concatenate(x) for x in (rows, cols, vals))
     half = int(np.max(np.abs(r - c)))
-    band = np.zeros((2 * half + 1, 10 * n + n_pin))
-    band[half + r - c, c] = val
-    band[half + c - r, r] = val
+    band = np.zeros((3 * half + 1, 10 * n + n_pin))
+    band[2 * half + r - c, c] = val
+    band[2 * half + c - r, r] = val
     d1 = np.array([[0, 0], [1, 1]])
-    h_rows = half + d1 - d1.T
+    h_rows = 2 * half + d1 - d1.T
     h_cols = node[:, None, None, None] + 4 + 2 * np.arange(3)[:, None, None] \
         + d1.T
     return half, band, (np.broadcast_to(h_rows, h_cols.shape), h_cols)
+
+
+# second-order cone algebra on rows u = (u0, u1) of (m, 3) arrays, for the
+# cones {u0 >= |u1|}: Jordan product u o v = (u.v, u0 v1 + v0 u1), identity
+# e = (1, 0, 0)
+
+def _soc_det(u):
+    """u0^2 - |u1|^2, factored to keep its digits near the boundary."""
+    r = np.sqrt(np.sum(u[:, 1:] ** 2, axis=1))
+    return (u[:, 0] - r) * (u[:, 0] + r)
+
+
+def _soc_mul(u, v):
+    out = u[:, :1] * v + v[:, :1] * u
+    out[:, 0] = np.sum(u * v, axis=1)
+    return out
+
+
+def _soc_div(lam, v):
+    """The u with lam o u = v."""
+    u0 = (lam[:, 0] * v[:, 0] - np.sum(lam[:, 1:] * v[:, 1:], axis=1)) \
+        / _soc_det(lam)
+    return np.column_stack([u0, (v[:, 1:] - u0[:, None] * lam[:, 1:])
+                            / lam[:, :1]])
+
+
+def _apply(mat, u):
+    """Row-wise products of (m, 3, 3) matrices and (m, 3) vectors."""
+    return np.einsum("kij,kj->ki", mat, u)
+
+
+def _nt_scaling(s, z):
+    """Nesterov-Todd scaling of interior pairs (s, z): the matrices W and
+    W^-1 with W z = W^-1 s, and the lower right 2x2 block of W^-2.
+    W = eta [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]] with w0^2 - |w1|^2 = 1,
+    W^-1 = J W J / eta^2 with J = diag(1, -1, -1), and the block of W^-2 is
+    (I + 2 w1 w1') / eta^2."""
+    s_norm = np.sqrt(_soc_det(s))
+    z_norm = np.sqrt(_soc_det(z))
+    s_bar = s / s_norm[:, None]
+    z_bar = z / z_norm[:, None]
+    gamma = np.sqrt(0.5 * (1.0 + np.sum(s_bar * z_bar, axis=1)))
+    w = s_bar - z_bar
+    w[:, 0] = s_bar[:, 0] + z_bar[:, 0]
+    w /= 2.0 * gamma[:, None]
+    w1 = w[:, 1:]
+    mat = np.empty((len(w), 3, 3))
+    mat[:, 0] = w
+    mat[:, 1:, 0] = w1
+    mat[:, 1:, 1:] = np.eye(2) + w1[:, :, None] * w1[:, None, :] \
+        / (1.0 + w[:, 0])[:, None, None]
+    eta = np.sqrt(s_norm / z_norm)[:, None, None]
+    w_mat = eta * mat
+    mat[:, 0, 1:] *= -1.0
+    mat[:, 1:, 0] *= -1.0
+    block = (np.eye(2) + 2.0 * w1[:, :, None] * w1[:, None, :]) / eta ** 2
+    return w_mat, mat / eta, block
+
+
+def _soc_step(u, du):
+    """Largest t with u + t du in the cone, for interior rows u: the first
+    positive root of (u0 + t du0)^2 - |u1 + t du1|^2, or inf."""
+    qa = du[:, 0] ** 2 - np.sum(du[:, 1:] ** 2, axis=1)
+    qb = 2.0 * (u[:, 0] * du[:, 0] - np.sum(u[:, 1:] * du[:, 1:], axis=1))
+    qc = _soc_det(u)
+    disc = qb * qb - 4.0 * qa * qc
+    real = disc >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+        roots = np.concatenate([(q / qa)[real], (qc / q)[real]])
+    return float(np.min(roots[roots > 0], initial=np.inf))
+
+
+def _ray_step(u, du):
+    """Largest t with u + t du >= 0, for positive u."""
+    neg = du < 0
+    return float(np.min(-u[neg] / du[neg], initial=np.inf))
+
+
+# iteration cap of the interior-point method, about three times the most
+# any subproblem of the bundled scenarios, the benchmark workloads or a
+# 1000-slot horizon has needed (21)
+_IP_MAX_ITERS = 60
 
 
 def solve_subproblem(lin, plan_ref, cfg):
@@ -330,15 +419,24 @@ def solve_subproblem(lin, plan_ref, cfg):
     minorant of that quadratic anchored at the reference positions, which
     keeps the program concave while preserving the fixed-point condition.
     Constraints: discrete kinematics, endpoint pin, terminal-speed pin
-    (direction taken from the reference plan), speed box with the
-    minimum-speed bound linearized at the reference velocities, and the
-    acceleration cap. Solved by a log-barrier Newton method (relative gap
-    <= 1e-7) over the stacked per-slot states (p_k, v_k, a_k), with the
-    kinematics as equality rows; the KKT system is then banded and each
-    Newton step costs O(N). The returned plan is the exact rollout of the
-    solution's accelerations.
+    (direction taken from the reference plan), the speed cap and the
+    acceleration cap as second-order cones (v_max, v_k) and (a_max, a_k),
+    and the minimum-speed bound linearized at the reference velocities as a
+    nonnegative slack.
+
+    Solved by a primal-dual interior-point method with Nesterov-Todd
+    scaling and Mehrotra predictor-corrector steps, the cone method of
+    Vandenberghe, "The CVXOPT linear and quadratic cone program solvers"
+    (2010) and Domahidi, Chu & Boyd, "ECOS: An SOCP solver for embedded
+    systems" (ECC 2013), until the duality gap is <= 1e-7 relative. It runs
+    over the stacked per-slot states (p_k, v_k, a_k) with the kinematics as
+    equality rows, so the KKT matrix is banded: each iteration factors it
+    once in O(N) and reuses the factor for the predictor and the corrector
+    solve. Raises TrajectoryError when the iteration cap is reached. The
+    returned plan is the exact rollout of the solution's accelerations.
     """
-    from scipy.linalg import solve_banded   # only planning runs pay its import
+    # imported here, so that only planning runs pay for scipy.linalg
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     n = plan_ref.n_slots
     dt = cfg.delta_t
@@ -411,102 +509,167 @@ def solve_subproblem(lin, plan_ref, cfg):
                                  a_mat, b_vec, g_of_accels)
     a = accels_of(x)
     p, v = _rollout(a, v0, l0, dt)
-    z = np.hstack([p[1:], v[1:], a])                 # (N, 6): p, v, a
+    state = np.hstack([p[1:], v[1:], a])             # (N, 6): p, v, a
+
+    # the cone rows s = h - G x over the states x: second-order rows
+    # 0..box-1 are (v_max, v_k), rows box.. are (a_max, a_k); the slack rows
+    # are 2 vr.v_k - |vr|^2 - v_min^2, with cone multipliers z
+    h_soc = np.zeros((box + n, 3))
+    h_soc[:box, 0] = cfg.v_max
+    h_soc[box:, 0] = cfg.a_max
+    h_lin = -vr_sq - cfg.v_min ** 2
+
+    def lift(st):
+        """-G st: the states' image on the cone rows."""
+        soc = np.zeros((box + n, 3))
+        soc[:box, 1:] = st[:box, 2:4]
+        soc[box:, 1:] = st[:, 4:]
+        return soc, 2.0 * np.sum(vr_box * st[:box, 2:4], axis=1)
+
+    def lift_t(soc, lin_rows):
+        """-G^T of cone-row values, as (N, 6) state rows."""
+        out = np.zeros((n, 6))
+        out[:box, 2:4] = soc[:box, 1:] + 2.0 * vr_box * lin_rows[:, None]
+        out[:, 4:] = soc[box:, 1:]
+        return out
 
     n_pin = a_mat.shape[0]
     half, band0, h_index = _kkt_band(n, n_pin, dt)
     dim = 10 * n + n_pin
     scale_pad = np.ones(dim + 2 * half)
-    # band entry (k, j) sits in matrix row j + k - half: its row's scale
+    # band entry (k, j) below the fill rows sits in matrix row j + k - half:
+    # its row's scale
     row_scale = sliding_window_view(scale_pad, dim)
 
-    def newton_solve(hess, rhs):
+    def factor(hess):
         band = band0.copy()
         band[h_index] = hess
         # symmetric scaling by the Hessian diagonal keeps the kinematic and
-        # pin rows exact to roundoff once the barrier curvature reaches 1e12
-        scale = 1.0 / np.sqrt(np.maximum(np.abs(band[half]), 1.0))
+        # pin rows exact to roundoff once the cone curvature grows large
+        scale = 1.0 / np.sqrt(np.maximum(np.abs(band[2 * half]), 1.0))
         scale_pad[half:half + dim] = scale
-        band *= scale * row_scale
-        return scale * solve_banded((half, half), band, scale * rhs,
-                                    overwrite_ab=True, check_finite=False)
+        band[half:] *= scale * row_scale
+        lu, piv, info = dgbtrf(band, half, half, overwrite_ab=True)
+        return (lu, piv, scale) if info == 0 else None
 
     rhs = np.empty(dim)
     rhs_nodes = rhs[:10 * n].reshape(n, 10)
+    pin_rhs = rhs[10 * n:]
     eye = np.eye(2)
 
-    m_ineq = 2 * box + n
-    f0 = f_obj(z[:, :2])
-    t = max(1.0, m_ineq / (0.1 * max(1.0, abs(f0))))
+    # the slacks start a tenth of their offset h inside the cones: the
+    # states may start on a cap the reference plan touches, and the cone
+    # residual this opens closes with every step
+    s_soc, s_lin = lift(state)
+    s_soc += h_soc
+    s_lin += h_lin
+    s_soc[:, 0] = np.maximum(s_soc[:, 0], np.sqrt(np.sum(s_soc[:, 1:] ** 2,
+                                                         axis=1))
+                             + 0.1 * h_soc[:, 0])
+    s_lin = np.maximum(s_lin, -0.1 * h_lin)
+    # dual start on the central path, z = mu0 s^-1, with the initial gap
+    # m mu0 = max(1, |f0|) / 10 capped at m
+    m_cone = 2 * box + n
+    mu0 = min(1.0, 0.1 * max(1.0, abs(f_obj(state[:, :2]))) / m_cone)
+    z_soc = mu0 * s_soc / _soc_det(s_soc)[:, None]
+    z_soc[:, 1:] *= -1.0
+    z_lin = mu0 / s_lin
 
-    for _ in range(64):
-        for _ in range(60):
-            p, v, a = z[:, :2], z[:, 2:4], z[:, 4:]
-            g = g_margins(v, a)
-            inv_vmax = 1.0 / g[:box, None]
-            inv_vmin = 1.0 / g[box:2 * box, None]
-            inv_amax = 1.0 / g[2 * box:, None]
-            grad = np.zeros((n, 6))
-            hess = np.zeros((n, 3, 2, 2))            # p, v, a blocks per node
-            grad[:, :2] = -t * grad_f(p)
-            grad[:box, 2:4] = (2.0 * v[:box] * inv_vmax
-                               - 2.0 * vr_box * inv_vmin)
-            grad[:, 4:] = 2.0 * a * inv_amax
-            hess[:, 0] = (-t * hess_p)[:, None, None] * eye
-            hess[:box, 1] = (4.0 * (v[:box, :, None] * v[:box, None, :])
-                             * inv_vmax[:, :, None] ** 2
-                             + 2.0 * inv_vmax[:, :, None] * eye
-                             + 4.0 * (vr_box[:, :, None] * vr_box[:, None, :])
-                             * inv_vmin[:, :, None] ** 2)
-            hess[:, 2] = (4.0 * (a[:, :, None] * a[:, None, :])
-                          * inv_amax[:, :, None] ** 2
-                          + 2.0 * inv_amax[:, :, None] * eye)
-
-            rhs_nodes[:, 4:] = -grad
-            # the kinematic and pin residuals ride along (infeasible-start
-            # Newton), so solve errors of the ill-conditioned late barrier
-            # stages cannot accumulate into a missed landing point
-            p_prev = np.vstack([l0, p[:-1]])
-            v_prev = np.vstack([v0, v[:-1]])
-            rhs_nodes[:, :2] = p_prev + dt * v_prev + 0.5 * dt * dt * a - p
-            rhs_nodes[:, 2:4] = v_prev + dt * a - v
-            rhs[10 * n:10 * n + 2] = l_end - p[-1]
-            if pin_speed:
-                rhs[10 * n + 2:] = v_target - v[-1]
-
-            try:
-                sol = newton_solve(hess, rhs)
-            except np.linalg.LinAlgError:
-                diag = hess[:, :, [0, 1], [0, 1]]
-                hess[:, :, [0, 1], [0, 1]] += 1e-10 * diag.sum() / (6 * n)
-                sol = newton_solve(hess, rhs)
-            dz = sol[:10 * n].reshape(n, 10)[:, 4:]
-            decrement2 = float(-np.sum(grad * dz))
-            if decrement2 <= 1e-12 * max(1.0, abs(t * f0)):
-                break
-            step = 1.0
-            for _ in range(80):
-                zn = z + step * dz
-                if np.min(g_margins(zn[:, 2:4], zn[:, 4:])) > 0:
-                    break
-                step *= 0.7
-            else:
-                break
-            psi = -t * f_obj(p) - float(np.sum(np.log(g)))
-            for _ in range(60):
-                zn = z + step * dz
-                gn = g_margins(zn[:, 2:4], zn[:, 4:])
-                psin = -t * f_obj(zn[:, :2]) - float(np.sum(np.log(gn)))
-                if psin <= psi - 0.25 * step * decrement2:
-                    break
-                step *= 0.5
-            z = z + step * dz
-        if m_ineq / t <= 1e-7 * max(1.0, abs(f_obj(z[:, :2]))):
+    for it in range(_IP_MAX_ITERS + 1):
+        p, v, a = state[:, :2], state[:, 2:4], state[:, 4:]
+        # the kinematic and pin residuals ride along in the right-hand side
+        # (infeasible-start Newton), so solve errors cannot accumulate into
+        # a missed landing point; the cone rows carry theirs likewise
+        p_prev = np.vstack([l0, p[:-1]])
+        v_prev = np.vstack([v0, v[:-1]])
+        rhs_nodes[:, :2] = p_prev + dt * v_prev + 0.5 * dt * dt * a - p
+        rhs_nodes[:, 2:4] = v_prev + dt * a - v
+        pin_rhs[:2] = l_end - p[-1]
+        if pin_speed:
+            pin_rhs[2:] = v_target - v[-1]
+        g_soc, g_lin = lift(state)
+        r_soc = s_soc - h_soc - g_soc
+        r_lin = s_lin - h_lin - g_lin
+        gap = float(np.sum(s_soc * z_soc) + s_lin @ z_lin)
+        if gap <= 1e-7 * max(1.0, abs(f_obj(p))) \
+                and np.all(np.abs(r_soc) <= 1e-12 * h_soc[:, :1]) \
+                and np.all(np.abs(r_lin) <= -1e-12 * h_lin):
             break
-        t *= 20.0
+        if it == _IP_MAX_ITERS:
+            raise TrajectoryError(
+                f"subproblem stopped at its iteration cap: {it} "
+                f"interior-point iterations left a duality gap of {gap:.3g}")
+
+        w_mat, w_inv, block = _nt_scaling(s_soc, z_soc)
+        lam_soc = _apply(w_mat, z_soc)
+        d_lin = z_lin / s_lin                        # W^-2 on the slack rows
+
+        def w_inv2(u):
+            # W^-1 twice: the product matrix W^-2 loses the digits of
+            # vectors that W^-1 shrinks once the cones get thin
+            return _apply(w_inv, _apply(w_inv, u))
+
+        # H = P + G^T W^-2 G: the scaled cone term (I + 2 w1 w1')/eta^2 on
+        # each v and a block, the slack's 4 (z/s) vr vr' on v
+        hess = np.zeros((n, 3, 2, 2))
+        hess[:, 0] = (-hess_p)[:, None, None] * eye
+        hess[:box, 1] = block[:box] + 4.0 * d_lin[:, None, None] \
+            * vr_box[:, :, None] * vr_box[:, None, :]
+        hess[:, 2] = block[box:]
+        lu = factor(hess)
+        if lu is None:
+            diag = hess[:, :, [0, 1], [0, 1]]
+            hess[:, :, [0, 1], [0, 1]] += 1e-10 * diag.sum() / (6 * n)
+            lu = factor(hess)
+            if lu is None:
+                raise np.linalg.LinAlgError(
+                    "singular KKT matrix in the trajectory subproblem")
+        lu, piv, scale = lu
+
+        grad = grad_f(p)
+
+        def direction(t_soc, t_lin):
+            """Newton step (dx, ds_soc, ds_lin, dz_soc, dz_lin) whose cone
+            rows read G dx - W^T W dz = q = -r - t. The equality
+            multipliers are solved for whole, not as a step, so the method
+            needs no iterate of them."""
+            q_soc, q_lin = -r_soc - t_soc, -r_lin - t_lin
+            rhs_nodes[:, 4:] = lift_t(z_soc - w_inv2(q_soc),
+                                      z_lin - d_lin * q_lin)
+            rhs_nodes[:, 4:6] += grad
+            sol = scale * dgbtrs(lu, half, half, scale * rhs, piv)[0]
+            dx = sol[:10 * n].reshape(n, 10)[:, 4:]
+            g_soc, g_lin = lift(dx)
+            return (dx, g_soc - r_soc, g_lin - r_lin,
+                    w_inv2(-g_soc - q_soc), d_lin * (-g_lin - q_lin))
+
+        sz_soc = np.concatenate([s_soc, z_soc])
+        sz_lin = np.concatenate([s_lin, z_lin])
+
+        def max_step(d):
+            return min(_soc_step(sz_soc, np.concatenate([d[1], d[3]])),
+                       _ray_step(sz_lin, np.concatenate([d[2], d[4]])))
+
+        # predictor: the affine-scaling direction (t = -s); its reach sets
+        # the centring weight sigma
+        aff = direction(-s_soc, -s_lin)
+        sigma = (1.0 - min(1.0, max_step(aff))) ** 3
+        mu = gap / m_cone
+        # corrector: t = W^T (lam \ (lam o lam + W^-T ds_aff o W dz_aff
+        # - sigma mu e)), the slack rows likewise
+        cor_soc = _soc_mul(lam_soc, lam_soc) + _soc_mul(
+            _apply(w_inv, aff[1]), _apply(w_mat, aff[3]))
+        cor_soc[:, 0] -= sigma * mu
+        cor_lin = s_lin * z_lin + aff[2] * aff[4] - sigma * mu
+        d = direction(-_apply(w_mat, _soc_div(lam_soc, cor_soc)),
+                      -cor_lin / z_lin)
+        step = min(1.0, 0.99 * max_step(d))
+        state, s_soc, s_lin, z_soc, z_lin = (
+            u + step * du for u, du in
+            zip((state, s_soc, s_lin, z_soc, z_lin), d))
 
     # squeeze out linear-algebra drift so endpoint pins hold to roundoff
-    x = z[:, 4:].T.ravel()
+    x = state[:, 4:].T.ravel()
     x_snap = _equality_restore(x, a_mat, b_vec)
     if np.min(g_of_accels(x_snap)) > 0:
         x = x_snap

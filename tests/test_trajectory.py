@@ -3,10 +3,10 @@ successive convex refinement loop."""
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy.optimize import minimize
 
-from covertuav import beamform, channel, trajectory
+from covertuav import beamform, channel, orchestrator, trajectory
 from covertuav.scenario import bundled_scenario, with_overrides
 from covertuav.trajectory import TrajectoryError
 
@@ -407,8 +407,8 @@ def _six_slot_case(v_end, **overrides):
 
 @pytest.mark.parametrize("v_end", [4.0, None], ids=["pinned", "free"])
 def test_subproblem_matches_slsqp_on_six_slots(v_end):
-    """Six slots, mixed-sign derivatives: the barrier solver's model value
-    agrees with an independent SLSQP solve of the same program."""
+    """Six slots, mixed-sign derivatives: the interior-point solver's model
+    value agrees with an independent SLSQP solve of the same program."""
     cfg, plan, lin = _six_slot_case(v_end)
     best, model, violation = _slsqp_subproblem(lin, plan, cfg)
     # SLSQP holds the squared speed and acceleration bounds (v_max^2 = 400,
@@ -420,18 +420,23 @@ def test_subproblem_matches_slsqp_on_six_slots(v_end):
                                                                  abs=1e-6)
 
 
+def _count_factorizations(monkeypatch):
+    """List that grows by one per banded LU factorization (`dgbtrf`)."""
+    calls = []
+    real = scipy.linalg.lapack.dgbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    return calls
+
+
 def test_subproblem_with_the_minimum_speed_bound_binding(monkeypatch):
     """v_min = 3.5 m/s just under the plan's 4 m/s: at the optimum the
     linearised minimum-speed bound binds on some nodes and is slack on
-    others. The solver agrees with SLSQP, and its barrier stages meet the
-    Newton-decrement stop well inside their 60-step caps (one banded solve
-    per Newton step; about 45 here, against 60 per stage for a barrier
-    gradient that disagrees with its Hessian)."""
+    others. The solver agrees with SLSQP, and the interior-point method
+    stops well inside its iteration cap (one band factorization per
+    iteration)."""
     cfg, plan, lin = _six_slot_case(None, v_min=3.5)
-    solves = []
-    real = scipy.linalg.solve_banded
-    monkeypatch.setattr(scipy.linalg, "solve_banded",
-                        lambda *a, **kw: solves.append(None) or real(*a, **kw))
+    solves = _count_factorizations(monkeypatch)
     sol = trajectory.solve_subproblem(lin, plan, cfg)
     sol.check_feasible(cfg)
     vr, v = plan.velocities[1:], sol.velocities[1:]
@@ -443,20 +448,41 @@ def test_subproblem_with_the_minimum_speed_bound_binding(monkeypatch):
     assert violation <= 1e-4
     assert model(sol.accelerations[1:].ravel()) == pytest.approx(best,
                                                                  abs=1e-6)
-    assert 0 < len(solves) <= 120
+    assert 0 < len(solves) <= 30
 
 
 @pytest.mark.parametrize("h0", [False, True], ids=["h1", "h0"])
-def test_subproblem_on_a_thousand_slots(h0):
+def test_subproblem_on_a_thousand_slots(h0, monkeypatch):
     """A horizon of 1000 slots (dt = 0.13 s), which dense KKT algebra
-    could not afford: the plan is feasible and the model does not drop."""
+    could not afford: the plan is feasible, the model does not drop, and
+    the solve takes few band factorizations (one per interior-point
+    iteration), as at short horizons."""
     cfg = with_overrides(bundled_scenario(), n_slots=1000)
     plan = trajectory.initial_plan(cfg)
     lin = trajectory.linearize(plan, 0.0 if h0 else Q_STAR, cfg, h0=h0)
+    factorizations = _count_factorizations(monkeypatch)
     sol = trajectory.solve_subproblem(lin, plan, cfg)
     sol.check_feasible(cfg)
     before = lin.value(plan.mu_ba[:-1], plan.mu_ca[:-1])
     assert lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1]) >= before - 1e-9
+    assert 0 < len(factorizations) <= 40
+
+
+def test_subproblem_iteration_cap_is_an_error(monkeypatch):
+    """A solve that reaches the interior-point iteration cap raises a
+    TrajectoryError naming the count and the gap, and the joint run
+    reports it as a failed trajectory block."""
+    cfg, plan, lin = _six_slot_case(4.0)
+    monkeypatch.setattr(trajectory, "_IP_MAX_ITERS", 2)
+    with pytest.raises(trajectory.TrajectoryError,
+                       match=r"iteration cap: 2 interior-point iterations "
+                             r"left a duality gap of \S+"):
+        trajectory.solve_subproblem(lin, plan, cfg)
+    trace = orchestrator.run_bcd(cfg, max_iters=3)
+    assert trace.error.startswith(
+        "round 1, trajectory block: TrajectoryError: subproblem stopped at "
+        "its iteration cap: 2 interior-point iterations")
+    assert not trace.converged
 
 
 # -- successive refinement -------------------------------------------------------
