@@ -102,7 +102,7 @@ def _run(cfg, power, max_iters, tol):
                     q_c, obj = q_new, obj_b
                 block = "trajectory block"
                 sca = trajectory.sca_trajectory(plan, q_c, cfg)
-                obj_t = trajectory.trajectory_objective(sca.plan, q_c, cfg)
+                obj_t = sca.objectives[-1]
                 if obj_t >= obj:
                     plan, obj = sca.plan, obj_t
                 objectives.append(obj)

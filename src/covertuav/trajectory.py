@@ -17,7 +17,10 @@ for embedded systems", ECC 2013). It runs over the stacked per-slot states
 (position, velocity, acceleration) with the kinematics as equality rows, so
 its KKT system is banded and one iteration costs one O(N) band
 factorization (the layout of Wang & Boyd, "Fast Model Predictive Control
-Using Online Optimization", IEEE TCST 2010).
+Using Online Optimization", IEEE TCST 2010). The method starts from the
+reference plan's own states, feasible or not: the kinematic, pin and cone
+residuals ride in its right-hand side, and it stops only once the duality
+gap is closed and the states fly the kinematics onto the landing pins.
 
 Conventions: a plan holds N+1 nodes (0..N). Node 0 is the launch point,
 node N the landing point; the drone communicates during slot n from node n
@@ -117,19 +120,13 @@ class TrajectoryPlan:
             raise TrajectoryError("slack below the squared distance it relaxes")
 
 
-def _rollout(accels, v0, l0, dt):
-    """Positions and velocities at nodes 0..N of per-slot accelerations
-    (N, 2) flown from l0 at v0."""
-    v = np.cumsum(np.vstack([v0, accels * dt]), axis=0)
-    p = np.cumsum(np.vstack([l0, v[:-1] * dt + 0.5 * accels * dt * dt]),
-                  axis=0)
-    return p, v
-
-
 def rebuild_from_accels(cfg, accels, v0, l0):
-    """Exact kinematic rollout of per-slot accelerations (N, 2)."""
+    """Exact kinematic rollout of per-slot accelerations (N, 2) flown from
+    l0 at v0."""
     a = np.asarray(accels, dtype=float).reshape(-1, 2)
-    p, v = _rollout(a, v0, l0, cfg.delta_t)
+    dt = cfg.delta_t
+    v = np.cumsum(np.vstack([v0, a * dt]), axis=0)
+    p = np.cumsum(np.vstack([l0, v[:-1] * dt + 0.5 * a * dt * dt]), axis=0)
     acc = np.vstack([np.zeros(2), a])
     return TrajectoryPlan(
         positions=p, velocities=v, accelerations=acc,
@@ -260,28 +257,6 @@ def linearize(plan_ref, q_c, cfg, h0=False):
 
 # ---------------------------------------------------------------------------
 # convex subproblem: concave quadratic objective over stacked per-slot states
-
-def _equality_restore(x, a_mat, b_vec):
-    """Minimal-norm correction putting x back on the equality manifold."""
-    at = a_mat.T
-    gram = a_mat @ at
-    return x + at @ np.linalg.solve(gram, b_vec - a_mat @ x)
-
-
-def _strictly_feasible_start(x0, a_mat, b_vec, g_fn):
-    """Equality-correct x0, blended toward the min-norm anchor until the
-    inequality margins are strictly positive."""
-    x = _equality_restore(x0, a_mat, b_vec)
-    if np.min(g_fn(x)) > 0:
-        return x
-    anchor = a_mat.T @ np.linalg.solve(a_mat @ a_mat.T, b_vec)
-    for tau in np.linspace(0.05, 1.0, 20):
-        cand = (1 - tau) * x + tau * anchor
-        if np.min(g_fn(cand)) > 0:
-            return cand
-    raise TrajectoryError(
-        "subproblem initialization infeasible: no strictly interior start")
-
 
 def _kkt_band(n, n_pin, dt):
     """Band layout of the stacked-state KKT matrix.
@@ -428,12 +403,17 @@ def solve_subproblem(lin, plan_ref, cfg):
     scaling and Mehrotra predictor-corrector steps, the cone method of
     Vandenberghe, "The CVXOPT linear and quadratic cone program solvers"
     (2010) and Domahidi, Chu & Boyd, "ECOS: An SOCP solver for embedded
-    systems" (ECC 2013), until the duality gap is <= 1e-7 relative. It runs
-    over the stacked per-slot states (p_k, v_k, a_k) with the kinematics as
-    equality rows, so the KKT matrix is banded: each iteration factors it
-    once in O(N) and reuses the factor for the predictor and the corrector
-    solve. Raises TrajectoryError when the iteration cap is reached. The
-    returned plan is the exact rollout of the solution's accelerations.
+    systems" (ECC 2013). It runs over the stacked per-slot states
+    (p_k, v_k, a_k) with the kinematics as equality rows, so the KKT matrix
+    is banded: each iteration factors it once in O(N) and reuses the factor
+    for the predictor and the corrector solve. The primal start is the
+    reference plan's own states and the slacks start a tenth inside the
+    cones; the kinematic, pin and cone residuals ride in the right-hand
+    side, so the start need be neither feasible nor interior. Converged
+    once the duality gap is <= 1e-7 relative, the cone residuals are
+    closed and the kinematic and pin residuals are <= 1e-9 (m, m/s).
+    Raises TrajectoryError when the iteration cap is reached. The returned
+    plan is the exact rollout of the solution's accelerations.
     """
     # imported here, so that only planning runs pay for scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -474,42 +454,13 @@ def solve_subproblem(lin, plan_ref, cfg):
         return slope + 2.0 * (w_neg[0, :, None] * (p - points[0])
                               + w_neg[1, :, None] * (p - points[1]))
 
-    # inequality margins; terminal node skips the speed box when pinned
+    # primal start: the reference plan's states, feasible or not
+    state = np.hstack([plan_ref.positions[1:], plan_ref.velocities[1:],
+                       plan_ref.accelerations[1:]])  # (N, 6): p, v, a
+    # the terminal node skips the speed cone when its speed is pinned
     box = n - 1 if pin_speed else n
     vr_box = vr[:box]
     vr_sq = np.sum(vr_box ** 2, axis=1)
-
-    def g_margins(v, a):
-        vb = v[:box]
-        return np.concatenate([
-            cfg.v_max ** 2 - np.sum(vb ** 2, axis=1),
-            2.0 * np.sum(vr_box * vb, axis=1) - vr_sq - cfg.v_min ** 2,
-            cfg.a_max ** 2 - np.sum(a ** 2, axis=1)])
-
-    # the pins on the acceleration vector x = (a_x, a_y): the last rows of
-    # the kinematic maps, p_N = L0 + N dt v0 + sum_k dt^2 (N - k + 1/2) a_k
-    # and v_N = v0 + sum_k dt a_k
-    k = np.arange(1, n + 1)
-    pin_rows = [dt * dt * (n - k + 0.5)] + ([np.full(n, dt)] if pin_speed
-                                            else [])
-    zero = np.zeros(n)
-    a_mat = np.vstack([np.concatenate(pair) for row in pin_rows
-                       for pair in ((row, zero), (zero, row))])
-    b_vec = np.concatenate([l_end - base_l[-1]]
-                           + ([v_target - v0] if pin_speed else []))
-
-    def accels_of(x):
-        return x.reshape(2, n).T
-
-    def g_of_accels(x):
-        a = accels_of(x)
-        return g_margins(_rollout(a, v0, l0, dt)[1][1:], a)
-
-    x = _strictly_feasible_start(plan_ref.accelerations[1:].T.ravel(),
-                                 a_mat, b_vec, g_of_accels)
-    a = accels_of(x)
-    p, v = _rollout(a, v0, l0, dt)
-    state = np.hstack([p[1:], v[1:], a])             # (N, 6): p, v, a
 
     # the cone rows s = h - G x over the states x: second-order rows
     # 0..box-1 are (v_max, v_k), rows box.. are (a_max, a_k); the slack rows
@@ -533,7 +484,7 @@ def solve_subproblem(lin, plan_ref, cfg):
         out[:, 4:] = soc[box:, 1:]
         return out
 
-    n_pin = a_mat.shape[0]
+    n_pin = 4 if pin_speed else 2
     half, band0, h_index = _kkt_band(n, n_pin, dt)
     dim = 10 * n + n_pin
     scale_pad = np.ones(dim + 2 * half)
@@ -591,9 +542,13 @@ def solve_subproblem(lin, plan_ref, cfg):
         r_soc = s_soc - h_soc - g_soc
         r_lin = s_lin - h_lin - g_lin
         gap = float(np.sum(s_soc * z_soc) + s_lin @ z_lin)
+        # converged once the gap is closed, the cone rows hold, and the
+        # states fly the kinematics and land on the pins (m, m/s)
         if gap <= 1e-7 * max(1.0, abs(f_obj(p))) \
                 and np.all(np.abs(r_soc) <= 1e-12 * h_soc[:, :1]) \
-                and np.all(np.abs(r_lin) <= -1e-12 * h_lin):
+                and np.all(np.abs(r_lin) <= -1e-12 * h_lin) \
+                and np.all(np.abs(rhs_nodes[:, :4]) <= 1e-9) \
+                and np.all(np.abs(pin_rhs) <= 1e-9):
             break
         if it == _IP_MAX_ITERS:
             raise TrajectoryError(
@@ -668,12 +623,7 @@ def solve_subproblem(lin, plan_ref, cfg):
             u + step * du for u, du in
             zip((state, s_soc, s_lin, z_soc, z_lin), d))
 
-    # squeeze out linear-algebra drift so endpoint pins hold to roundoff
-    x = state[:, 4:].T.ravel()
-    x_snap = _equality_restore(x, a_mat, b_vec)
-    if np.min(g_of_accels(x_snap)) > 0:
-        x = x_snap
-    return rebuild_from_accels(cfg, accels_of(x), v0, l0)
+    return rebuild_from_accels(cfg, state[:, 4:], v0, l0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ successive convex refinement loop."""
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from covertuav import beamform, channel, orchestrator, trajectory
@@ -454,18 +456,67 @@ def test_subproblem_with_the_minimum_speed_bound_binding(monkeypatch):
 @pytest.mark.parametrize("h0", [False, True], ids=["h1", "h0"])
 def test_subproblem_on_a_thousand_slots(h0, monkeypatch):
     """A horizon of 1000 slots (dt = 0.13 s), which dense KKT algebra
-    could not afford: the plan is feasible, the model does not drop, and
-    the solve takes few band factorizations (one per interior-point
-    iteration), as at short horizons."""
+    could not afford: the plan is feasible, lands on l_end to 1e-9 m, the
+    model does not drop, and the solve takes few band factorizations (one
+    per interior-point iteration), as at short horizons."""
     cfg = with_overrides(bundled_scenario(), n_slots=1000)
     plan = trajectory.initial_plan(cfg)
     lin = trajectory.linearize(plan, 0.0 if h0 else Q_STAR, cfg, h0=h0)
     factorizations = _count_factorizations(monkeypatch)
     sol = trajectory.solve_subproblem(lin, plan, cfg)
     sol.check_feasible(cfg)
+    assert np.linalg.norm(sol.positions[-1] - np.asarray(cfg.l_end)) <= 1e-9
     before = lin.value(plan.mu_ba[:-1], plan.mu_ca[:-1])
     assert lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1]) >= before - 1e-9
     assert 0 < len(factorizations) <= 40
+
+
+def _assert_subproblem_holds(lin, plan, cfg):
+    """The solve is feasible and does not lower the linear model."""
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    before = lin.value(plan.mu_ba[:-1], plan.mu_ca[:-1])
+    assert lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1]) >= before - 1e-9
+
+
+def test_subproblem_from_a_reference_plan_on_the_speed_cap():
+    """At the minimum horizon with v_start = v_max the reference plan flies
+    at the speed cap in every slot, so the solver starts on the boundary of
+    every speed cone: the plan it returns is feasible, the model does not
+    drop, and the joint run finishes without error."""
+    base = bundled_scenario()
+    cfg = with_overrides(base, v_start=base.v_max, v_end=None,
+                         t_s=base.ferry_distance / base.v_max)
+    plan = trajectory.initial_plan(cfg)
+    assert np.allclose(plan.speeds(), cfg.v_max)
+    _assert_subproblem_holds(trajectory.linearize(plan, Q_STAR, cfg), plan,
+                             cfg)
+    assert orchestrator.run_bcd(cfg).error is None
+
+
+_FUZZ_BASE = bundled_scenario()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_slots=st.integers(20, 60), stretch=st.floats(1.0, 2.0),
+       v_start=st.floats(_FUZZ_BASE.v_min, _FUZZ_BASE.v_max),
+       pin=st.booleans(), h0=st.booleans())
+def test_subproblem_fuzz(n_slots, stretch, v_start, pin, h0):
+    """Horizons from the minimum to twice it, any start speed, a pinned or
+    free terminal speed, H1 or H0: either the straight-line start is
+    rejected by name, or the subproblem at it is feasible and does not
+    lower the linear model."""
+    cfg = with_overrides(
+        _FUZZ_BASE, n_slots=n_slots, v_start=v_start,
+        v_end=v_start if pin else None,
+        t_s=stretch * _FUZZ_BASE.ferry_distance / _FUZZ_BASE.v_max)
+    try:
+        plan = trajectory.initial_plan(cfg)
+    except TrajectoryError as exc:
+        assert str(exc).startswith("trajectory infeasible: ")
+        return
+    lin = trajectory.linearize(plan, 0.0 if h0 else Q_STAR, cfg, h0=h0)
+    _assert_subproblem_holds(lin, plan, cfg)
 
 
 def test_subproblem_iteration_cap_is_an_error(monkeypatch):
