@@ -37,6 +37,16 @@ __all__ = ["CovertBudgetError", "SlotEnv", "env_from_vectors",
            "Oracle2dResult", "oracle_2d", "write_decisions_csv"]
 
 
+def _channel_vectors(h_ba, h_ca, h_cw):
+    """The three channel vectors as complex arrays; ValueError naming a
+    zero one."""
+    vecs = tuple(np.asarray(h, dtype=complex) for h in (h_ba, h_ca, h_cw))
+    for name, h in zip(("h_ba", "h_ca", "h_cw"), vecs):
+        if np.linalg.norm(h) == 0:
+            raise ValueError(f"channel vector {name} is zero")
+    return vecs
+
+
 def _mixing_basis(h_ca, h_cw):
     """Orthonormal pair spanning the covert beam family, with the phase
     folded so the leakage amplitude is |alpha| cos(theta) - beta sin(theta).
@@ -73,12 +83,7 @@ def env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=0.0):
     user's adversary-side coupling stays at the full-trace gain so the
     carved-power bookkeeping remains feasible for every beam choice.
     """
-    h_ba = np.asarray(h_ba, dtype=complex)
-    h_ca = np.asarray(h_ca, dtype=complex)
-    h_cw = np.asarray(h_cw, dtype=complex)
-    for name, h in (("h_ba", h_ba), ("h_ca", h_ca), ("h_cw", h_cw)):
-        if np.linalg.norm(h) == 0:
-            raise ValueError(f"channel vector {name} is zero")
+    h_ba, h_ca, h_cw = _channel_vectors(h_ba, h_ca, h_cw)
     e1, e2, _, _ = _mixing_basis(h_ca, h_cw)
     beams = [_beam(e1, e2, float(t)) for t in np.ravel(theta)]
     c_ca, c_cw = (np.array([np.abs(np.vdot(u, h)) ** 2 for u in beams])
@@ -361,12 +366,7 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
     Returns the directions and the winning power decision; beamformers are
     exactly rank one (w = sqrt(power) * direction).
     """
-    h_ba = np.asarray(h_ba, dtype=complex)
-    h_ca = np.asarray(h_ca, dtype=complex)
-    h_cw = np.asarray(h_cw, dtype=complex)
-    for name, h in (("h_ba", h_ba), ("h_ca", h_ca), ("h_cw", h_cw)):
-        if np.linalg.norm(h) == 0:
-            raise ValueError(f"channel vector {name} is zero")
+    h_ba, h_ca, h_cw = _channel_vectors(h_ba, h_ca, h_cw)
     u_b = h_ba / np.linalg.norm(h_ba)
     e1, e2, alpha_abs, beta = _mixing_basis(h_ca, h_cw)
     if e2 is None:
@@ -424,8 +424,8 @@ def oracle_2d(cfg, gains, h_ba, h_ca, h_cw, grid=(64, 64)):
     n_q, n_theta = grid
     if n_q < 64 or n_theta < 64:
         raise ValueError("oracle grid must be at least 64 x 64")
-    _, e2, _, _ = _mixing_basis(np.asarray(h_ca, dtype=complex),
-                                np.asarray(h_cw, dtype=complex))
+    h_ba, h_ca, h_cw = _channel_vectors(h_ba, h_ca, h_cw)
+    _, e2, _, _ = _mixing_basis(h_ca, h_cw)
     angles = (np.array([0.0]) if e2 is None
               else np.linspace(0.0, 0.5 * math.pi, n_theta))
     q_grid = np.linspace(0.0, cfg.q_c_max_w, n_q)

@@ -444,10 +444,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = _resolve_scenario(args.scenario)
-    except UsageError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (scenario.ScenarioError, OSError, FileNotFoundError) as exc:
+    except (UsageError, scenario.ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -458,7 +455,7 @@ def main(argv=None):
             np.linalg.LinAlgError) as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZATION
-    except (UsageError, scenario.ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -76,14 +76,24 @@ class SlotEnv:
         return slot_rate_curve(q_c, self)
 
     def split_powers(self, q_c):
-        """(q_b, p_ba, p_ca, p_cw) of one slot at covert power q_c."""
-        p_cw = self.c_cw * q_c
+        """(q_b, p_ba, p_ca, p_cw) of one slot at covert power q_c
+        (`_coupled_powers`); cover beyond the budget raises
+        CovertBudgetError naming the bound."""
+        q_b, p_ba, p_ca, p_cw = map(float, _coupled_powers(q_c, self))
         if p_cw > self.budget * (1.0 + 1e-12):
             raise CovertBudgetError(
                 f"covert cover {p_cw:.6g} W exceeds the adversary-side budget "
                 f"{self.budget:.6g} W (q_c must stay <= {self.q_c_feasible:.6g} W)")
-        q_b = max(self.q_b_max - p_cw / self.g_bw, 0.0)
-        return q_b, self.c_ba * q_b, self.c_ca * q_c, p_cw
+        return q_b, p_ba, p_ca, p_cw
+
+
+def _coupled_powers(q_c, env):
+    """The power split at covert power(s) q_c: the cover p_cw = c_cw*q_c at
+    the adversary is carved out of the secret user's budget q_b_max*g_bw,
+    which leaves the secret power q_b; returns (q_b, p_ba, p_ca, p_cw)."""
+    p_cw = env.c_cw * q_c
+    q_b = np.maximum(env.q_b_max - p_cw / env.g_bw, 0.0)
+    return q_b, env.c_ba * q_b, env.c_ca * q_c, p_cw
 
 
 def slot_env(cfg, gains, slot=None):
@@ -143,10 +153,7 @@ def h1_slot(q_c, env, chain=None):
     q_c = np.asarray(q_c, dtype=float)
     sigma_a2, gamma_t, gamma_c = env.sigma_a2, env.gamma_t, env.gamma_c
     kappa, budget = env.kappa, env.budget
-    p_cw = env.c_cw * q_c
-    q_b = np.maximum(env.q_b_max - p_cw / env.g_bw, 0.0)
-    p_ba = env.c_ba * q_b
-    p_ca = env.c_ca * q_c
+    q_b, p_ba, p_ca, p_cw = _coupled_powers(q_c, env)
     r_w = secmetrics.secrecy_redundancy(budget, np.minimum(p_cw, budget),
                                         env.sigma_w2, env.eta_s)
     r_s = np.maximum(env.r_t - r_w, 0.0)

@@ -7,9 +7,12 @@ the Rician gap table, which quotes the production closed form as its
 comparison column — the Monte Carlo column there still comes from physical
 draws only.
 
-Sampling is partitioned into fixed-size worker chunks with per-worker seeds,
-so the merged counts are order-independent and a parallel execution would
-reproduce the serial result.
+Every estimator counts through one chunked counter (`_count_hits`): chunk
+w of the samples draws from `make_rng(seed, worker=w)`, so the merged counts
+are order-independent and a parallel execution would reproduce the serial
+result. Tables of rows (the agreement sweep, the Rician gap table) key each
+row with `_row_seed`, a hash of the base seed and the row index, so no row
+replays another row's stream at a nearby base seed.
 """
 
 import math
@@ -59,14 +62,20 @@ def _check_samples(samples):
     return samples
 
 
-def _count_hits(event, samples, seed):
-    hits, done, worker = 0, 0, 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        hits += int(event(make_rng(seed, worker=worker), n))
-        done += n
-        worker += 1
+def _count_hits(event, samples, seed, chunk=_CHUNK):
+    """Sum of event(rng, n) over chunks of at most `chunk` samples, chunk w
+    drawing from `make_rng(seed, worker=w)`; an event may count several
+    outcomes at once as an array."""
+    hits = 0
+    for worker, done in enumerate(range(0, samples, chunk)):
+        hits += event(make_rng(seed, worker=worker), min(chunk, samples - done))
     return hits
+
+
+def _estimate(event, samples, seed):
+    """Binomial estimate of the event's probability from `samples` draws."""
+    samples = _check_samples(samples)
+    return _binomial(int(_count_hits(event, samples, seed)), samples)
 
 
 def _exp_power(rng, mean, n):
@@ -86,13 +95,12 @@ def _exp_power(rng, mean, n):
 
 def estimate_scp_h0(p_ba, sigma_a2, r_t, samples=100_000, seed=0):
     """Empirical Pr{faded secret power >= (2^r_t - 1) sigma_a2}."""
-    samples = _check_samples(samples)
     threshold = (2.0 ** r_t - 1.0) * sigma_a2
 
     def event(rng, n):
         return np.count_nonzero(_exp_power(rng, p_ba, n) >= threshold)
 
-    return _binomial(_count_hits(event, samples, seed), samples)
+    return _estimate(event, samples, seed)
 
 
 def estimate_scp_h1(p_ba, p_ca, sigma_a2, r_t, samples=100_000, seed=0):
@@ -102,7 +110,6 @@ def estimate_scp_h1(p_ba, p_ca, sigma_a2, r_t, samples=100_000, seed=0):
     covert stream fades with mean p_ca, matching the event behind the
     interference-limited connection formula.
     """
-    samples = _check_samples(samples)
     gamma = 2.0 ** r_t - 1.0
 
     def event(rng, n):
@@ -111,18 +118,17 @@ def estimate_scp_h1(p_ba, p_ca, sigma_a2, r_t, samples=100_000, seed=0):
         threshold *= gamma
         return np.count_nonzero(p_ba >= threshold)
 
-    return _binomial(_count_hits(event, samples, seed), samples)
+    return _estimate(event, samples, seed)
 
 
 def estimate_sop_h0(p_bw, sigma_w2, r_w, samples=100_000, seed=0):
     """Empirical Pr{faded leakage power >= (2^r_w - 1) sigma_w2}."""
-    samples = _check_samples(samples)
     threshold = (2.0 ** r_w - 1.0) * sigma_w2
 
     def event(rng, n):
         return np.count_nonzero(_exp_power(rng, p_bw, n) >= threshold)
 
-    return _binomial(_count_hits(event, samples, seed), samples)
+    return _estimate(event, samples, seed)
 
 
 def estimate_sop_h1(p_bw, p_cw, sigma_w2, r_w, samples=100_000, seed=0):
@@ -132,7 +138,6 @@ def estimate_sop_h1(p_bw, p_cw, sigma_w2, r_w, samples=100_000, seed=0):
     are drawn per sample, so the event is the one behind sop_h1 and, at
     zero cover, behind sop_h0.
     """
-    samples = _check_samples(samples)
     gamma = 2.0 ** r_w - 1.0
 
     def event(rng, n):
@@ -142,7 +147,7 @@ def estimate_sop_h1(p_bw, p_cw, sigma_w2, r_w, samples=100_000, seed=0):
         threshold *= gamma
         return np.count_nonzero(leakage >= threshold)
 
-    return _binomial(_count_hits(event, samples, seed), samples)
+    return _estimate(event, samples, seed)
 
 
 def estimate_ccp(p_ba, p_ca, sigma_a2, r_t, r_c, samples=100_000, seed=0):
@@ -152,7 +157,6 @@ def estimate_ccp(p_ba, p_ca, sigma_a2, r_t, r_c, samples=100_000, seed=0):
     link gain after cancellation are independent fading blocks (the model
     treats the two SNRs as independent), so each sample uses two draws.
     """
-    samples = _check_samples(samples)
     gamma_t = 2.0 ** r_t - 1.0
     gamma_c = 2.0 ** r_c - 1.0
 
@@ -165,7 +169,7 @@ def estimate_ccp(p_ba, p_ca, sigma_a2, r_t, r_c, samples=100_000, seed=0):
         ok &= covert >= gamma_c * sigma_a2
         return np.count_nonzero(ok)
 
-    return _binomial(_count_hits(event, samples, seed), samples)
+    return _estimate(event, samples, seed)
 
 
 # -- randomized agreement sweep -------------------------------------------------
@@ -204,8 +208,9 @@ def _row_seed(base_seed, idx):
     """Hash-mixed per-row key so nearby base seeds never share streams.
 
     The XOR worker scheme keeps chunk keys adjacent by design; rows of the
-    agreement sweep instead need keys spread over the whole key space, or
-    sweeps at nearby base seeds would re-toss the same coins.
+    agreement sweep and of the Rician gap table instead need keys spread
+    over the whole key space, or tables at nearby base seeds would re-toss
+    the same coins.
     """
     ss = np.random.SeedSequence(entropy=int(base_seed),
                                 spawn_key=(71, int(idx)))
@@ -244,6 +249,18 @@ def agreement_suite(samples=100_000, seed=0, sets_per_metric=4):
 # -- physical-layer estimators over explicit beamformers ------------------------
 
 
+def _vector_connection(p_ba, gamma, sigma, a2, w_c, k):
+    """Event of the secret stream clearing gamma over the covert
+    interference |h^H w_c|^2 plus noise sigma, with the covert air channel
+    h drawn Rician of factor k (k = 0 is Rayleigh) at per-antenna gain a2."""
+    def event(rng, n):
+        h = math.sqrt(a2) * rician_fading(rng, len(w_c), k, size=n)
+        interference = np.abs(h.conj() @ w_c) ** 2
+        return np.count_nonzero(p_ba >= gamma * (interference + sigma))
+
+    return event
+
+
 def mc_scp_h1(cfg, gains, beamformers, samples=100_000, seed=0, slot=0):
     """Vector-channel secret connection estimate for one slot.
 
@@ -252,22 +269,13 @@ def mc_scp_h1(cfg, gains, beamformers, samples=100_000, seed=0, slot=0):
     its deterministic full-trace value. `beamformers` is the (w_b, w_c)
     pair of complex weight vectors.
     """
-    samples = _check_samples(samples)
     w_b, w_c = (np.asarray(w, dtype=complex) for w in beamformers)
     if w_b.shape != (cfg.n_b,) or w_c.shape != (cfg.n_c,):
         raise ValueError("beamformer shapes must match the antenna counts")
     p_ba = float(np.vdot(w_b, w_b).real) * gains.g_ba[slot]
-    a2 = gains.a2_ca[slot]
-    gamma = 2.0 ** cfg.r_t - 1.0
-    sigma = cfg.sigma_a2_w
-
-    def event(rng, n):
-        h = math.sqrt(a2 / 2.0) * (rng.standard_normal((n, cfg.n_c))
-                                   + 1j * rng.standard_normal((n, cfg.n_c)))
-        interference = np.abs(h.conj() @ w_c) ** 2
-        return np.count_nonzero(p_ba >= gamma * (interference + sigma))
-
-    return _binomial(_count_hits(event, samples, seed), samples)
+    event = _vector_connection(p_ba, 2.0 ** cfg.r_t - 1.0, cfg.sigma_a2_w,
+                               gains.a2_ca[slot], w_c, 0.0)
+    return _estimate(event, samples, seed)
 
 
 def mc_dep(stats, q_th=None, trials=10_000, seed=0):
@@ -283,18 +291,15 @@ def mc_dep(stats, q_th=None, trials=10_000, seed=0):
     if q <= 0:
         raise ValueError("threshold q_th must be positive")
     m = int(stats.m)
-    fa, md, done, worker = 0, 0, 0, 0
-    while done < trials:
-        n = min(_TRIAL_CHUNK, trials - done)
-        rng = make_rng(seed, worker=worker)
+
+    def event(rng, n):
         t0 = kernels.radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma0)
         t1 = kernels.radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma1)
-        fa += int(np.count_nonzero(t0 > q))
-        md += int(np.count_nonzero(t1 <= q))
-        done += n
-        worker += 1
-    p_f = _binomial(fa, trials)
-    p_m = _binomial(md, trials)
+        return np.array([np.count_nonzero(t0 > q), np.count_nonzero(t1 <= q)])
+
+    fa, md = _count_hits(event, trials, seed, chunk=_TRIAL_CHUNK)
+    p_f = _binomial(int(fa), trials)
+    p_m = _binomial(int(md), trials)
     p_e = McEstimate(estimate=p_f.estimate + p_m.estimate, n_samples=trials,
                      half_width=p_f.half_width + p_m.half_width)
     return p_f, p_m, p_e
@@ -324,7 +329,6 @@ def mc_rician_gap(cfg, samples=100_000, seed=0, k_grid=(0.0, 1.0, 10.0 ** 0.3, 1
     row is exact; other rows report the modeling gap without correcting it.
     """
     from .channel import gains_for_positions  # local import to avoid cycles at init
-    samples = _check_samples(samples)
     if gains is None:
         start = np.array([[cfg.l_start[0], cfg.l_start[1]]])
         gains = gains_for_positions(cfg, start)
@@ -346,13 +350,8 @@ def mc_rician_gap(cfg, samples=100_000, seed=0, k_grid=(0.0, 1.0, 10.0 ** 0.3, 1
         corr = a2 * (k * np.ones((n_c, n_c)) + np.eye(n_c)) / (k + 1.0)
         mean_pca = float(np.real(w_c.conj() @ corr @ w_c))
         closed = secmetrics.scp_h1(p_ba, mean_pca, sigma, cfg.r_t)
-
-        def event(rng, n, k=k):
-            h = math.sqrt(a2) * rician_fading(rng, n_c, k, size=n)
-            interference = np.abs(h.conj() @ w_c) ** 2
-            return np.count_nonzero(p_ba >= gamma * (interference + sigma))
-
-        est = _binomial(_count_hits(event, samples, seed + idx), samples)
+        est = _estimate(_vector_connection(p_ba, gamma, sigma, a2, w_c, k),
+                        samples, _row_seed(seed, idx))
         rows.append(GapRow(k_factor=k, closed_form=closed,
                            mc_estimate=est.estimate, half_width=est.half_width,
                            gap=est.estimate - closed))

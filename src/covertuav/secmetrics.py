@@ -214,14 +214,6 @@ class DetectionStats:
             raise ValueError("received variances must be positive")
         _check_block(self.m)
 
-    @property
-    def psi0(self):
-        return self.m * self.q_th / self.sigma0
-
-    @property
-    def psi1(self):
-        return self.m * self.q_th / self.sigma1
-
 
 def dep(stats: DetectionStats, q_th=None):
     """Radiometer error rates (P_F, P_M, P_e) at a threshold.

@@ -94,11 +94,10 @@ class TrajectoryPlan:
 
     def dynamics_residual(self, cfg):
         """Largest kinematic mismatch (m and m/s) across all slots."""
-        dt = cfg.delta_t
         p, v, a = self.positions, self.velocities, self.accelerations
-        rp = p[1:] - (p[:-1] + v[:-1] * dt + 0.5 * a[1:] * dt * dt)
-        rv = v[1:] - (v[:-1] + a[1:] * dt)
-        return float(max(np.abs(rp).max(initial=0.0), np.abs(rv).max(initial=0.0)))
+        res = _kinematic_residual(p[1:], v[1:], a[1:], p[0], v[0],
+                                  cfg.delta_t)
+        return float(np.abs(res).max(initial=0.0))
 
     def check_feasible(self, cfg, tol=1e-6):
         """Raise TrajectoryError on any violated plan invariant."""
@@ -118,6 +117,15 @@ class TrajectoryPlan:
         mu_c = channel.squared_horizontal_distance(self.positions, cfg.l_c)
         if np.any(self.mu_ba < mu_b - 1e-6) or np.any(self.mu_ca < mu_c - 1e-6):
             raise TrajectoryError("slack below the squared distance it relaxes")
+
+
+def _kinematic_residual(p, v, a, l0, v0, dt):
+    """Rollout minus nodes, (N, 4): the position then the velocity mismatch
+    of the states (p, v, a) of nodes 1..N flown from node 0 at (l0, v0)."""
+    p_prev = np.vstack([l0, p[:-1]])
+    v_prev = np.vstack([v0, v[:-1]])
+    return np.hstack([p_prev + dt * v_prev + 0.5 * dt * dt * a - p,
+                      v_prev + dt * a - v])
 
 
 def rebuild_from_accels(cfg, accels, v0, l0):
@@ -140,7 +148,10 @@ def initial_plan(cfg):
     The profile interpolates v_start to the terminal speed and adds a
     parabolic bump solved in closed form against the discrete trapezoid sum
     so the landing point is hit exactly. Raises TrajectoryError naming the
-    minimal horizon when the ferry distance is unreachable.
+    minimal horizon when the ferry distance is unreachable, and one naming
+    the profile's peak speed and the failed `TrajectoryPlan.check_feasible`
+    invariant when the rolled-out profile leaves the speed or acceleration
+    box or misses l_end.
     """
     n = cfg.n_slots
     dt = cfg.delta_t
@@ -160,18 +171,14 @@ def initial_plan(cfg):
     denom = dt * bump[1:-1].sum()
     beta = 0.0 if denom == 0 else (dist - p_lin) / denom
     s = s_lin + beta * bump
-    if np.any(s > cfg.v_max + 1e-9) or np.any(s < cfg.v_min - 1e-9):
-        raise TrajectoryError(
-            f"trajectory infeasible: straight-line speed profile leaves "
-            f"[v_min, v_max]; minimum horizon T = {dist / cfg.v_max:.6g} s")
     acc = np.diff(s)[:, None] / dt * d_hat
-    if np.any(np.linalg.norm(acc, axis=1) > cfg.a_max + 1e-9):
-        raise TrajectoryError(
-            "trajectory infeasible: straight-line profile needs more than "
-            "a_max acceleration")
     plan = rebuild_from_accels(cfg, acc, cfg.v_start * d_hat, start)
-    if np.linalg.norm(plan.positions[-1] - end) > 1e-6:
-        raise TrajectoryError("straight-line profile failed to land on l_end")
+    try:
+        plan.check_feasible(cfg, tol=_BOX_TOL)
+    except TrajectoryError as exc:
+        raise TrajectoryError(
+            f"trajectory infeasible: the straight-line starting profile "
+            f"(peak speed {s.max():.6g} m/s) fails: {exc}") from None
     return plan
 
 
@@ -531,10 +538,7 @@ def solve_subproblem(lin, plan_ref, cfg):
         # the kinematic and pin residuals ride along in the right-hand side
         # (infeasible-start Newton), so solve errors cannot accumulate into
         # a missed landing point; the cone rows carry theirs likewise
-        p_prev = np.vstack([l0, p[:-1]])
-        v_prev = np.vstack([v0, v[:-1]])
-        rhs_nodes[:, :2] = p_prev + dt * v_prev + 0.5 * dt * dt * a - p
-        rhs_nodes[:, 2:4] = v_prev + dt * a - v
+        rhs_nodes[:, :4] = _kinematic_residual(p, v, a, l0, v0, dt)
         pin_rhs[:2] = l_end - p[-1]
         if pin_speed:
             pin_rhs[2:] = v_target - v[-1]
@@ -639,19 +643,15 @@ class ScaResult:
     iterations: int
 
 
-def _box_feasible(plan, cfg):
-    sp = plan.speeds()
-    if np.any(sp > cfg.v_max + _BOX_TOL) or np.any(sp < cfg.v_min - _BOX_TOL):
-        return False
-    return not np.any(plan.accel_norms()[1:] > cfg.a_max + _BOX_TOL)
-
-
 def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60):
     """Iteratively linearize and re-solve until the mean rate stalls.
 
     Each accepted step blends the subproblem's acceleration profile toward
     the current plan until the true objective does not decrease (halving
-    blend weights), so the recorded objective trace is nondecreasing.
+    blend weights), so the recorded objective trace is nondecreasing. A
+    blend is accepted only if it passes `TrajectoryPlan.check_feasible` at
+    tolerance 1e-9, so every plan it accepts flies the kinematics from
+    l_start onto l_end inside the speed and acceleration boxes.
     """
     if tol is None:
         tol = cfg.bcd_tol
@@ -671,7 +671,9 @@ def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60):
                    + alpha * cand.accelerations[1:])
             blend = rebuild_from_accels(cfg, acc, ref.velocities[0],
                                         ref.positions[0])
-            if not _box_feasible(blend, cfg):
+            try:
+                blend.check_feasible(cfg, tol=_BOX_TOL)
+            except TrajectoryError:
                 continue
             val = trajectory_objective(blend, q, cfg, h0=h0)
             if val >= obj:

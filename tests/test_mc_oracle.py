@@ -11,6 +11,8 @@ import pytest
 
 from covertuav import mc_oracle as mc
 from covertuav import secmetrics as sm
+from covertuav.kernels import radiometer_statistic
+from covertuav.rng import make_rng
 from covertuav.secmetrics import DetectionStats
 
 
@@ -116,6 +118,26 @@ def test_mc_dep_matches_closed_form_at_longer_blocks():
         assert pm.agrees_with(pm_c)
 
 
+def test_mc_dep_counts_2500_trial_chunks_keyed_by_worker():
+    """mc_dep's counts are those of chunks of 2 500 trials, the last one
+    the remainder, chunk w drawing from make_rng(seed, worker=w)."""
+    stats = DetectionStats(1.0, 1.8, sm.optimal_threshold(1.0, 1.8), 10)
+    trials, seed, m = 12_345, 7, 10
+    fa = md = 0
+    for worker, start in enumerate(range(0, trials, 2_500)):
+        n = min(2_500, trials - start)
+        rng = make_rng(seed, worker=worker)
+        t0 = radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma0)
+        t1 = radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma1)
+        fa += int(np.count_nonzero(t0 > stats.q_th))
+        md += int(np.count_nonzero(t1 <= stats.q_th))
+    assert worker == 4 and n == 2_345
+    pf, pm, pe = mc.mc_dep(stats, trials=trials, seed=seed)
+    assert (pf.estimate, pm.estimate) == (fa / trials, md / trials)
+    assert pf.n_samples == pm.n_samples == pe.n_samples == trials
+    assert pe.estimate == pf.estimate + pm.estimate
+
+
 # -- vector-channel and distribution-shape checks ------------------------------
 
 def test_mc_scp_h1_matches_closed_form_at_slot(cfg, gains0):
@@ -149,6 +171,13 @@ def test_rician_gap_table(cfg):
                                         abs=1e-15)
     custom = mc.mc_rician_gap(cfg, samples=10_000, seed=9, k_grid=(0.0, 2.0))
     assert len(custom) == 2
+
+
+def test_rician_gap_rows_do_not_replay_nearby_seeds(cfg):
+    """Row k at base seed s draws its own stream, not row 0's at s + k."""
+    pair = mc.mc_rician_gap(cfg, samples=60_000, seed=9, k_grid=(0.0, 0.0))
+    shifted = mc.mc_rician_gap(cfg, samples=60_000, seed=10, k_grid=(0.0,))
+    assert pair[1].mc_estimate != shifted[0].mc_estimate
 
 
 # -- randomized agreement sweep ------------------------------------------------

@@ -38,6 +38,21 @@ def test_initial_plan_infeasible_names_minimum_horizon(cfg):
         trajectory.initial_plan(short)
 
 
+def test_initial_plan_refusal_names_the_peak_speed(cfg):
+    """A horizon above the minimum whose single-bump profile overshoots
+    v_max is refused with the profile's peak speed and the failed plan
+    invariant, not with a minimum horizon the scenario already exceeds."""
+    slow_start = with_overrides(cfg, n_slots=40, v_start=1.0, v_end=None,
+                                t_s=1.2 * cfg.ferry_distance / cfg.v_max)
+    with pytest.raises(TrajectoryError) as err:
+        trajectory.initial_plan(slow_start)
+    message = str(err.value)
+    assert message.startswith("trajectory infeasible: ")
+    assert "peak speed 24.5147 m/s" in message
+    assert "speed leaves the [v_min, v_max] box" in message
+    assert "minimum horizon" not in message
+
+
 def test_plan_arrays_are_write_locked(plan0):
     with pytest.raises(ValueError):
         plan0.positions[0, 0] = 1.0
@@ -553,6 +568,24 @@ def test_sca_canonical_converges_monotonically(cfg, sca_canonical):
     assert obj[0] == pytest.approx(0.9916, abs=2e-3)
     assert obj[-1] == pytest.approx(1.278342, rel=1e-3)
     res.plan.check_feasible(cfg)
+
+
+@pytest.mark.parametrize("h0", [False, True])
+def test_every_accepted_sca_plan_passes_check_feasible(cfg, plan0, h0):
+    """Stepping the loop one acceptance at a time from the straight line,
+    every plan it accepts lands on l_end and holds the kinematics and the
+    speed and acceleration boxes to 1e-9."""
+    plan, q = plan0, (0.0 if h0 else Q_STAR)
+    accepted = 0
+    for _ in range(60):
+        res = trajectory.sca_trajectory(plan, q, cfg, h0=h0, max_iters=1)
+        res.plan.check_feasible(cfg, tol=1e-9)
+        accepted += len(res.objectives) - 1
+        if res.converged:
+            break
+        plan = res.plan
+    assert res.converged
+    assert accepted >= 2
 
 
 def test_sca_is_a_fixed_point_at_convergence(cfg, sca_canonical):
