@@ -13,7 +13,8 @@ beam family mixing the covert user's own link with the leakage direction.
 The slot model itself (rate, redundancy, connection probabilities, and
 the covert-silent rule) lives in `kernels`, with its one input, the
 `kernels.SlotEnv` record that `kernels.slot_env` builds; this module only
-chooses the powers and beams it is evaluated at.
+chooses the powers and beams it is evaluated at, and tabulates the achieved
+metrics, one column per quantity and one entry per slot (`SlotDecisions`).
 """
 
 import dataclasses
@@ -23,16 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, secmetrics
+from . import kernels
 from ._csvio import write_atomic_csv
 # the record, the function building it and its error, by their beamform names
 from .kernels import CovertBudgetError, SlotEnv, slot_env
 
 __all__ = ["CovertBudgetError", "SlotEnv", "env_from_vectors",
-           "slot_objective", "BsaResult", "bsa_optimize",
-           "BsaBatch", "bsa_slots",
-           "BeamformDecision", "decision_at", "decide_slot",
-           "h0_decision", "H0Decision",
+           "bsa_optimize", "BsaBatch", "bsa_slots",
+           "SlotDecisions", "decision_at", "h0_decision",
            "DirectionDecision", "choose_directions",
            "Oracle2dResult", "oracle_2d", "write_decisions_csv"]
 
@@ -95,44 +94,21 @@ def env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta=0.0):
                                c_ca=c_ca, c_cw=c_cw)
 
 
-def slot_objective(q_c, cfg, gains, slot=0, env=None):
-    """Weighted slot rate at covert power q_c.
-
-    Raises CovertBudgetError when the cover received by the adversary
-    exceeds the secret user's full-power budget, and ValueError for powers
-    outside [0, q_c_max].
-    """
-    env = slot_env(cfg, gains, slot) if env is None else env
-    q = float(q_c)
-    if not 0.0 <= q <= env.q_c_max * (1.0 + 1e-12):
-        raise ValueError(f"q_c must lie in [0, {env.q_c_max:.6g}] W, got {q:.6g}")
-    env.split_powers(q)  # budget check with the named-bound error
-    return env.rate(q)
-
-
-@dataclass(frozen=True)
-class BsaResult:
-    """Outcome of the per-slot power search."""
-
-    q_c: float
-    objective: float
-    unimodal: bool     # False when the pre-scan saw multiple humps
-    evaluations: int
-    iterations: int    # bisection steps (bracket halvings)
-
-
 class BsaBatch(NamedTuple):
-    """Outcome of the power search over many slots: the `BsaResult`
-    fields as arrays with one entry per slot."""
+    """Outcome of the power search: arrays with one entry per slot, or
+    Python scalars for the one-slot search (`bsa_optimize`)."""
 
     q_c: np.ndarray
     objective: np.ndarray
-    unimodal: np.ndarray
+    unimodal: np.ndarray   # False where the pre-scan saw multiple humps
     evaluations: np.ndarray
-    iterations: np.ndarray
+    iterations: np.ndarray  # bisection steps (bracket halvings)
 
 
-def _bsa_rows(rate, hi, zeta1, q_c_max, prescan=129):
+_PRESCAN = 129   # points of the single-hump pre-scan
+
+
+def _bsa_rows(rate, hi, zeta1, q_c_max):
     """Derivative-sign bisection for the best covert power of many rows
     at once.
 
@@ -161,8 +137,8 @@ def _bsa_rows(rate, hi, zeta1, q_c_max, prescan=129):
         return f[:, 1] - f[:, 0]
 
     # pre-scan for the single-hump assumption (rises below noise are ignored)
-    vals = rate(np.linspace(0.0, hi, prescan, axis=-1), every)
-    evals = np.full(hi.size, prescan)
+    vals = rate(np.linspace(0.0, hi, _PRESCAN, axis=-1), every)
+    evals = np.full(hi.size, _PRESCAN)
     diffs = np.diff(vals, axis=1)
     noise = 1e-12 * np.fmax(1.0, np.max(np.abs(vals), axis=1))
     unimodal = ~((diffs[:, :-1] <= 0)
@@ -221,8 +197,7 @@ def _bsa_env(env, zeta1):
     return _bsa_rows(rate, hi, zeta1, env.q_c_max)
 
 
-def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
-                 prescan=129):
+def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None):
     """Derivative-sign bisection for the best covert power in one slot.
 
     Searches [0, q_c_feasible]. A coarse pre-scan checks the single-hump
@@ -230,7 +205,8 @@ def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
     a dense grid plus local bisection refinement and flags the result.
     The returned power is within zeta1 (default: the scenario tolerance)
     of the true argmax. This is the batched search of `bsa_slots` run on
-    one slot, evaluated through `env.rate`.
+    one slot, evaluated through `env.rate`; returns a `BsaBatch` of Python
+    scalars.
     """
     env = slot_env(cfg, gains, slot) if env is None else env
     if zeta1 is None:
@@ -239,12 +215,8 @@ def bsa_optimize(cfg=None, gains=None, zeta1=None, slot=0, env=None,
     def rate(q, rows):
         return np.reshape(env.rate(q.ravel()), q.shape)
 
-    res = _bsa_rows(rate, [env.q_c_feasible], zeta1, env.q_c_max, prescan)
-    return BsaResult(q_c=float(res.q_c[0]),
-                     objective=float(res.objective[0]),
-                     unimodal=bool(res.unimodal[0]),
-                     evaluations=int(res.evaluations[0]),
-                     iterations=int(res.iterations[0]))
+    res = _bsa_rows(rate, [env.q_c_feasible], zeta1, env.q_c_max)
+    return BsaBatch._make(col.item() for col in res)
 
 
 def bsa_slots(cfg, gains):
@@ -257,92 +229,68 @@ def bsa_slots(cfg, gains):
 
 
 @dataclass(frozen=True)
-class BeamformDecision:
-    """One slot's transmit design and its achieved metrics."""
+class SlotDecisions:
+    """Per-slot transmit design and its achieved metrics, one column per
+    field: read-only arrays with one entry per slot, or Python floats for
+    one slot. A covert-silent table (`h0_decision`) carries q_c = theta =
+    ccp = 0 and the covert-silent connection probability in scp.
+    """
 
-    q_c: float
-    q_b: float
-    u_b: np.ndarray
-    u_c: np.ndarray
-    theta: float
-    r_w: float
-    r_s: float
-    scp_h1: float
-    ccp: float
-    rate: float
+    q_b: np.ndarray
+    q_c: np.ndarray
+    theta: np.ndarray
+    r_w: np.ndarray
+    r_s: np.ndarray
+    scp: np.ndarray      # secret connection probability
+    ccp: np.ndarray      # covert connection probability
+    rate: np.ndarray     # weighted slot rate
 
     def __post_init__(self):
-        object.__setattr__(self, "u_b", np.asarray(self.u_b, dtype=complex))
-        object.__setattr__(self, "u_c", np.asarray(self.u_c, dtype=complex))
-        self.u_b.setflags(write=False)
-        self.u_c.setflags(write=False)
+        names = [f.name for f in dataclasses.fields(self)]
+        cols = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=float)
+                                     for n in names))
+        for name, col in zip(names, cols):
+            if col.ndim:
+                col = col.copy()
+                col.setflags(write=False)
+            else:
+                col = col.item()
+            object.__setattr__(self, name, col)
 
-    @property
-    def w_b(self):
-        return math.sqrt(self.q_b) * self.u_b
+    def __len__(self):
+        return len(self.rate)
 
-    @property
-    def w_c(self):
-        return math.sqrt(self.q_c) * self.u_c
+    def __getitem__(self, s):
+        """The one-slot record of slot s."""
+        return SlotDecisions(*(getattr(self, f.name)[s]
+                               for f in dataclasses.fields(self)))
 
     def covertness_residual(self, env):
-        """|budget - (p_bw + p_cw)| relative to the budget."""
+        """|budget - (p_bw + p_cw)| relative to the budget, per slot of
+        the `SlotEnv` env."""
         p_bw = self.q_b * env.g_bw
         p_cw = self.q_c * env.c_cw
         return abs(env.budget - (p_bw + p_cw)) / env.budget
 
 
-def _decision_from_env(env, q_c, u_b, u_c, theta):
-    env.split_powers(q_c)  # budget check with the named-bound error
+def decision_at(env, q_c):
+    """Achieved metrics of every slot of the `SlotEnv` env at the covert
+    powers q_c (one `kernels.h1_slot` call); CovertBudgetError naming the
+    bound when a slot's cover exceeds the budget."""
     t = kernels.h1_slot(q_c, env)
-    return BeamformDecision(q_c=q_c, q_b=float(t.q_b), u_b=u_b, u_c=u_c,
-                            theta=theta, r_w=float(t.r_w), r_s=float(t.r_s),
-                            scp_h1=float(t.scp), ccp=float(t.scp * t.tail),
-                            rate=float(t.rate))
+    env.check_cover(t.p_cw)
+    return SlotDecisions(q_b=t.q_b, q_c=q_c, theta=0.0, r_w=t.r_w,
+                         r_s=t.r_s, scp=t.scp, ccp=t.scp * t.tail,
+                         rate=t.rate)
 
 
-def decision_at(cfg, gains, q_c, slot=0, env=None):
-    """Package the achieved per-slot metrics at a given covert power.
-
-    Unit directions are the uniform surrogate (the isotropic model tracks
-    powers, not phases).
-    """
-    env = slot_env(cfg, gains, slot) if env is None else env
-    u_b = np.ones(cfg.n_b, dtype=complex) / math.sqrt(cfg.n_b)
-    u_c = np.ones(cfg.n_c, dtype=complex) / math.sqrt(cfg.n_c)
-    return _decision_from_env(env, float(q_c), u_b, u_c, theta=0.0)
-
-
-def decide_slot(cfg, gains, slot=0, zeta1=None, env=None):
-    """Isotropic-mode decision for one slot: run the power search and
-    package the achieved metrics."""
-    env = slot_env(cfg, gains, slot) if env is None else env
-    res = bsa_optimize(cfg, gains, zeta1=zeta1, slot=slot, env=env)
-    return decision_at(cfg, gains, res.q_c, slot=slot, env=env)
-
-
-@dataclass(frozen=True)
-class H0Decision:
-    """Covert-user-silent design: the secret user transmits at full power
-    with redundancy high enough to honor the outage cap."""
-
-    q_b: float
-    r_w: float
-    r_s: float
-    scp_h0: float
-    sop_h0: float
-    rate: float
-
-
-def h0_decision(cfg, gains, slot=0):
-    """Full-power maximum-ratio design with the covert user silent
-    (`kernels.h0_slot`), with its secrecy outage."""
-    env = slot_env(cfg, gains, slot)
+def h0_decision(env):
+    """Covert-user-silent design of every slot of the `SlotEnv` env: the
+    secret user transmits at full power with redundancy high enough to
+    honor the outage cap (`kernels.h0_slot`)."""
     t = kernels.h0_slot(env.q_b_max, env)
-    sop0 = secmetrics.sop_h0(env.budget, env.sigma_w2, t.r_w)
-    return H0Decision(q_b=env.q_b_max, r_w=float(t.r_w),
-                      r_s=float(t.r_s), scp_h0=float(t.scp), sop_h0=sop0,
-                      rate=float(t.rate))
+    return SlotDecisions(q_b=env.q_b_max, q_c=0.0, theta=0.0, r_w=t.r_w,
+                         r_s=t.r_s, scp=t.scp, ccp=0.0, rate=t.rate)
 
 
 @dataclass(frozen=True)
@@ -352,7 +300,7 @@ class DirectionDecision:
     u_b: np.ndarray
     u_c: np.ndarray
     theta: float
-    decision: BeamformDecision
+    decision: SlotDecisions   # one-slot record
     env: SlotEnv
 
 
@@ -400,9 +348,8 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
             span /= 4.0
     theta, q_c, _ = best
     env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta)
-    u_c = _beam(e1, e2, theta)
-    decision = _decision_from_env(env, q_c, u_b, u_c, theta)
-    return DirectionDecision(u_b=u_b, u_c=u_c, theta=theta,
+    decision = dataclasses.replace(decision_at(env, q_c), theta=theta)
+    return DirectionDecision(u_b=u_b, u_c=_beam(e1, e2, theta), theta=theta,
                              decision=decision, env=env)
 
 
@@ -442,13 +389,9 @@ _DECISION_COLUMNS = ("slot", "q_b", "q_c", "theta", "r_w", "r_s",
 
 
 def write_decisions_csv(path, decisions):
-    """One row per slot decision (atomic temp-plus-rename).
-
-    A covert-silent `H0Decision` row carries 0 in the covert columns (q_c,
-    theta, ccp) and its scp_h0 in the scp_h1 column.
-    """
-    write_atomic_csv(path, _DECISION_COLUMNS, [
-        [slot, d.q_b, 0.0, 0.0, d.r_w, d.r_s, d.scp_h0, 0.0, d.rate]
-        if isinstance(d, H0Decision) else
-        [slot, d.q_b, d.q_c, d.theta, d.r_w, d.r_s, d.scp_h1, d.ccp, d.rate]
-        for slot, d in enumerate(decisions)])
+    """One row per slot of a `SlotDecisions` table (atomic
+    temp-plus-rename); the scp column is headed scp_h1."""
+    d = decisions
+    cols = (d.q_b, d.q_c, d.theta, d.r_w, d.r_s, d.scp, d.ccp, d.rate)
+    write_atomic_csv(path, _DECISION_COLUMNS,
+                     zip(range(len(d)), *(c.tolist() for c in cols)))

@@ -299,7 +299,7 @@ def _check_threshold_rule(seed, report):
 def _check_covertness(cfg, report):
     env = _slot0_env(cfg)
     q_c = beamform.bsa_optimize(env=env, zeta1=cfg.zeta1_w).q_c
-    decision = beamform.decision_at(cfg, None, q_c, env=env)
+    decision = beamform.decision_at(env, q_c)
     residual = decision.covertness_residual(env)
     s0 = env.budget + env.sigma_w2
     stats = secmetrics.DetectionStats(

@@ -1,8 +1,8 @@
 """The slot model and the radiometer kernel, in numpy.
 
 Every planner path evaluates the per-slot rate here: the power search
-(`slot_rate_curve`, one row of powers per slot), the per-slot
-decisions, the trajectory rate and its linearization, and the
+(`slot_rate_curve`, one row of powers per slot), the per-slot decision
+table, the trajectory rate and its linearization, and the
 covert-silent benchmark. `h1_slot` is the covert-active model and
 `h0_slot` the covert-silent one; both broadcast over arrays of slots.
 Their one input is a `SlotEnv` record, which also holds the
@@ -80,11 +80,22 @@ class SlotEnv:
         (`_coupled_powers`); cover beyond the budget raises
         CovertBudgetError naming the bound."""
         q_b, p_ba, p_ca, p_cw = map(float, _coupled_powers(q_c, self))
-        if p_cw > self.budget * (1.0 + 1e-12):
-            raise CovertBudgetError(
-                f"covert cover {p_cw:.6g} W exceeds the adversary-side budget "
-                f"{self.budget:.6g} W (q_c must stay <= {self.q_c_feasible:.6g} W)")
+        self.check_cover(p_cw)
         return q_b, p_ba, p_ca, p_cw
+
+    def check_cover(self, p_cw):
+        """Raise CovertBudgetError naming the bound when the cover p_cw at
+        the adversary (a scalar, or one entry per slot) exceeds the
+        budget."""
+        over = np.flatnonzero(np.asarray(p_cw) > self.budget * (1.0 + 1e-12))
+        if over.size:
+            s = over[0]
+            cap = np.broadcast_to(self.q_c_feasible, np.shape(p_cw)).ravel()[s]
+            where = f"slot {s}: " if np.ndim(p_cw) else ""
+            raise CovertBudgetError(
+                f"{where}covert cover {np.ravel(p_cw)[s]:.6g} W exceeds the "
+                f"adversary-side budget {self.budget:.6g} W "
+                f"(q_c must stay <= {cap:.6g} W)")
 
 
 def _coupled_powers(q_c, env):

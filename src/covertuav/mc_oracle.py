@@ -2,17 +2,14 @@
 
 Every estimator here rebuilds its probability event from raw complex-Gaussian
 draws (standard normals scaled by the link powers) and counts successes; none
-of them evaluate the closed-form expressions. The one exception in spirit is
-the Rician gap table, which quotes the production closed form as its
-comparison column — the Monte Carlo column there still comes from physical
-draws only.
+of them evaluate the closed-form expressions.
 
 Every estimator counts through one chunked counter (`_count_hits`): chunk
 w of the samples draws from `make_rng(seed, worker=w)`, so the merged counts
 are order-independent and a parallel execution would reproduce the serial
-result. Tables of rows (the agreement sweep, the Rician gap table) key each
-row with `_row_seed`, a hash of the base seed and the row index, so no row
-replays another row's stream at a nearby base seed.
+result. The agreement sweep keys each row with `_row_seed`, a hash of the
+base seed and the row index, so no row replays another row's stream at a
+nearby base seed.
 """
 
 import math
@@ -28,7 +25,7 @@ from .rng import make_rng
 __all__ = ["McEstimate", "MIN_SAMPLES",
            "estimate_scp_h0", "estimate_scp_h1", "estimate_sop_h0",
            "estimate_sop_h1", "estimate_ccp",
-           "mc_scp_h1", "mc_dep", "mc_rician_gap", "GapRow",
+           "mc_scp_h1", "mc_dep",
            "AgreementRow", "agreement_suite", "write_agreement_csv"]
 
 MIN_SAMPLES = 10_000
@@ -208,9 +205,8 @@ def _row_seed(base_seed, idx):
     """Hash-mixed per-row key so nearby base seeds never share streams.
 
     The XOR worker scheme keeps chunk keys adjacent by design; rows of the
-    agreement sweep and of the Rician gap table instead need keys spread
-    over the whole key space, or tables at nearby base seeds would re-toss
-    the same coins.
+    agreement sweep instead need keys spread over the whole key space, or
+    sweeps at nearby base seeds would re-toss the same coins.
     """
     ss = np.random.SeedSequence(entropy=int(base_seed),
                                 spawn_key=(71, int(idx)))
@@ -249,18 +245,6 @@ def agreement_suite(samples=100_000, seed=0, sets_per_metric=4):
 # -- physical-layer estimators over explicit beamformers ------------------------
 
 
-def _vector_connection(p_ba, gamma, sigma, a2, w_c, k):
-    """Event of the secret stream clearing gamma over the covert
-    interference |h^H w_c|^2 plus noise sigma, with the covert air channel
-    h drawn Rician of factor k (k = 0 is Rayleigh) at per-antenna gain a2."""
-    def event(rng, n):
-        h = math.sqrt(a2) * rician_fading(rng, len(w_c), k, size=n)
-        interference = np.abs(h.conj() @ w_c) ** 2
-        return np.count_nonzero(p_ba >= gamma * (interference + sigma))
-
-    return event
-
-
 def mc_scp_h1(cfg, gains, beamformers, samples=100_000, seed=0, slot=0):
     """Vector-channel secret connection estimate for one slot.
 
@@ -273,8 +257,13 @@ def mc_scp_h1(cfg, gains, beamformers, samples=100_000, seed=0, slot=0):
     if w_b.shape != (cfg.n_b,) or w_c.shape != (cfg.n_c,):
         raise ValueError("beamformer shapes must match the antenna counts")
     p_ba = float(np.vdot(w_b, w_b).real) * gains.g_ba[slot]
-    event = _vector_connection(p_ba, 2.0 ** cfg.r_t - 1.0, cfg.sigma_a2_w,
-                               gains.a2_ca[slot], w_c, 0.0)
+    gamma, sigma, a2 = 2.0 ** cfg.r_t - 1.0, cfg.sigma_a2_w, gains.a2_ca[slot]
+
+    def event(rng, n):   # K = 0: Rayleigh
+        h = math.sqrt(a2) * rician_fading(rng, len(w_c), 0.0, size=n)
+        interference = np.abs(h.conj() @ w_c) ** 2
+        return np.count_nonzero(p_ba >= gamma * (interference + sigma))
+
     return _estimate(event, samples, seed)
 
 
@@ -303,59 +292,6 @@ def mc_dep(stats, q_th=None, trials=10_000, seed=0):
     p_e = McEstimate(estimate=p_f.estimate + p_m.estimate, n_samples=trials,
                      half_width=p_f.half_width + p_m.half_width)
     return p_f, p_m, p_e
-
-
-@dataclass(frozen=True)
-class GapRow:
-    """One line of the Rician-vs-Rayleigh comparison table."""
-
-    k_factor: float
-    closed_form: float
-    mc_estimate: float
-    half_width: float
-    gap: float
-
-
-def mc_rician_gap(cfg, samples=100_000, seed=0, k_grid=(0.0, 1.0, 10.0 ** 0.3, 10.0),
-                  slot=0, gains=None):
-    """Measure how far Rician interference drifts from the Rayleigh model.
-
-    The secret-connection formula takes the covert interference as an
-    exponential power. Here the covert air channel is drawn Rician with each
-    K in the grid, beamformed against a fixed unit vector aligned with the
-    deterministic component (the worst case for the exponential assumption),
-    and the empirical connection probability is tabulated next to the
-    closed form evaluated at the exact mean interference power. The K = 0
-    row is exact; other rows report the modeling gap without correcting it.
-    """
-    from .channel import gains_for_positions  # local import to avoid cycles at init
-    if gains is None:
-        start = np.array([[cfg.l_start[0], cfg.l_start[1]]])
-        gains = gains_for_positions(cfg, start)
-    a2 = gains.a2_ca[slot]
-    n_c = cfg.n_c
-    q_c = cfg.q_c_max_w
-    gamma = 2.0 ** cfg.r_t - 1.0
-    sigma = cfg.sigma_a2_w
-    # operating point centered on the curve (unit exponent at K = 0), so the
-    # table measures distribution shape where the formula is most sensitive
-    p_ba = gamma * (sigma + a2 * q_c)
-    u = np.ones(n_c) / math.sqrt(n_c)
-    w_c = math.sqrt(q_c) * u
-    rows = []
-    for idx, k in enumerate(k_grid):
-        k = float(k)
-        # exact mean of |h^H w_c|^2 for the Rician model: the correlation
-        # matrix is a2 * (k*J + I)/(k+1) with J the all-ones matrix
-        corr = a2 * (k * np.ones((n_c, n_c)) + np.eye(n_c)) / (k + 1.0)
-        mean_pca = float(np.real(w_c.conj() @ corr @ w_c))
-        closed = secmetrics.scp_h1(p_ba, mean_pca, sigma, cfg.r_t)
-        est = _estimate(_vector_connection(p_ba, gamma, sigma, a2, w_c, k),
-                        samples, _row_seed(seed, idx))
-        rows.append(GapRow(k_factor=k, closed_form=closed,
-                           mc_estimate=est.estimate, half_width=est.half_width,
-                           gap=est.estimate - closed))
-    return rows
 
 
 # -- agreement reporting ---------------------------------------------------------

@@ -42,26 +42,25 @@ class BcdTrace:
     objectives[0] is the starting point's mean rate; one more entry lands
     per completed outer round of the joint run, or per accepted
     successive-refinement step of a one-block benchmark. iterations counts
-    those rounds, or the refinement iterations. decisions holds the final
-    per-slot designs and plan the final flight path. error is None unless a
-    block failed, in which case the last accepted iterate is returned with a
-    message naming the outer round and the block ("round 3, trajectory
-    block: ...").
+    those rounds, or the refinement iterations. decisions is the final
+    per-slot design table (`beamform.SlotDecisions`) and plan the final
+    flight path. error is None unless a block failed, in which case the
+    last accepted iterate is returned with a message naming the outer
+    round and the block ("round 3, trajectory block: ...").
     """
 
     objectives: list
-    decisions: list
+    decisions: beamform.SlotDecisions
     plan: trajectory.TrajectoryPlan
-    q_c: np.ndarray
     iterations: int
     wall_time: float
     converged: bool
     error: str = None
 
-    def __post_init__(self):
-        q = np.asarray(self.q_c, dtype=float)
-        object.__setattr__(self, "q_c", q)
-        q.setflags(write=False)
+    @property
+    def q_c(self):
+        """Per-slot covert powers (the decision table's q_c column)."""
+        return self.decisions.q_c
 
     @property
     def objective(self):
@@ -118,12 +117,12 @@ def _run(cfg, power, max_iters, tol):
     except (beamform.CovertBudgetError, trajectory.TrajectoryError,
             np.linalg.LinAlgError) as exc:
         error = f"round {rounds}, {block}: {type(exc).__name__}: {exc}"
-    gains = channel.gains_for_positions(cfg, plan.comm_positions)
-    decisions = [beamform.h0_decision(cfg, gains, slot=s) if h0
-                 else beamform.decision_at(cfg, gains, q_c[s], slot=s)
-                 for s in range(plan.n_slots)]
+    env = kernels.slot_env(
+        cfg, channel.gains_for_positions(cfg, plan.comm_positions))
+    decisions = (beamform.h0_decision(env) if h0
+                 else beamform.decision_at(env, q_c))
     return BcdTrace(objectives=objectives, decisions=decisions, plan=plan,
-                    q_c=q_c, iterations=rounds,
+                    iterations=rounds,
                     wall_time=time.perf_counter() - start,
                     converged=converged, error=error)
 
@@ -162,9 +161,8 @@ class ParetoRow:
 
 def _frontier_components(cfg, trace):
     """Unweighted average secret and covert rates of a finished run."""
-    phi_s = float(np.mean([d.scp_h1 * d.r_s for d in trace.decisions]))
-    phi_c = float(np.mean([d.ccp * cfg.r_c for d in trace.decisions]))
-    return phi_s, phi_c
+    d = trace.decisions
+    return float(np.mean(d.scp * d.r_s)), float(np.mean(d.ccp * cfg.r_c))
 
 
 def pareto_sweep(cfg, kappas, max_iters=50, tol=None):

@@ -115,7 +115,7 @@ class TrajectoryPlan:
             raise TrajectoryError("acceleration exceeds a_max")
         mu_b = channel.squared_horizontal_distance(self.positions, cfg.l_b)
         mu_c = channel.squared_horizontal_distance(self.positions, cfg.l_c)
-        if np.any(self.mu_ba < mu_b - 1e-6) or np.any(self.mu_ca < mu_c - 1e-6):
+        if np.any(self.mu_ba < mu_b - tol) or np.any(self.mu_ca < mu_c - tol):
             raise TrajectoryError("slack below the squared distance it relaxes")
 
 

@@ -101,7 +101,7 @@ def test_criterion_04_power_coupling_blinds_the_detector(cfg, slot0):
         q_star = beamform.bsa_optimize(env=env, zeta1=cfg.zeta1_w).q_c
         for q_c in (0.25 * env.q_c_feasible, 0.5 * env.q_c_feasible,
                     env.q_c_feasible, q_star):
-            decision = beamform.decision_at(cfg, gains, q_c, slot=slot)
+            decision = beamform.decision_at(env, q_c)
             worst_residual = max(worst_residual,
                                  decision.covertness_residual(env))
             s0 = env.budget + env.sigma_w2
@@ -244,8 +244,8 @@ def test_criterion_09_baseline_orderings(cfg, bcd130):
     # compared with the joint design's average secret rate, not with its
     # weighted objective, which also carries the covert term
     silent_secret = orchestrator.run_h0_benchmark(cfg).objective
-    joint_secret = float(np.mean([d.scp_h1 * d.r_s
-                                  for d in bcd130[0].decisions]))
+    d = bcd130[0].decisions
+    joint_secret = float(np.mean(d.scp * d.r_s))
     shorter = orchestrator.run_bcd(
         scenario.bundled_scenario("paper_t100")).objective
     ok_fixed = joint >= fixed - 1e-9

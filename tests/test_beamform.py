@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ def test_slot_env_canonical_coefficients(env0):
 def test_slot_env_silent_covert_rate(cfg, gains0, env0):
     # a silent covert user leaves the covert-silent redundancy rule, so the
     # rate is the certain-decode secret term kappa * (r_t - r_w(H0))
-    h0 = beamform.h0_decision(cfg, gains0, 0)
-    assert beamform.decision_at(cfg, gains0, 0.0).r_w == pytest.approx(
+    h0 = beamform.h0_decision(env0)
+    assert beamform.decision_at(env0, 0.0).r_w == pytest.approx(
         h0.r_w, rel=1e-14)
     assert env0.rate(0.0) == pytest.approx(
         env0.kappa * (env0.r_t - h0.r_w), rel=1e-12)
@@ -72,12 +73,17 @@ def test_split_powers_overdraw_names_the_bound(env0):
         tight.split_powers(bad)
 
 
-def test_slot_objective_validates_range(cfg, gains0):
-    with pytest.raises(ValueError, match="q_c must lie in"):
-        beamform.slot_objective(2e-3, cfg, gains0)
-    with pytest.raises(ValueError, match="q_c must lie in"):
-        beamform.slot_objective(-1e-6, cfg, gains0)
-    val = beamform.slot_objective(5e-6, cfg, gains0)
+def test_slot_objective_validates_range(env0):
+    """The slot rate rejects negative powers, maps cover beyond the budget
+    to -inf, and a design there raises the named budget error."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        env0.rate(-1e-6)
+    tight = dataclasses.replace(env0, c_cw=env0.c_cw * 1e7)
+    bad = 2.0 * tight.q_c_feasible
+    assert tight.rate(bad) == -np.inf
+    with pytest.raises(CovertBudgetError, match="q_c must stay <="):
+        beamform.decision_at(tight, bad)
+    val = env0.rate(5e-6)
     assert np.isfinite(val) and val > 0
 
 
@@ -199,12 +205,12 @@ def _scalar_bsa(env, zeta1, prescan=129):
         lo, up = 0.0, hi
         evals += 2
         if slope(hi) >= 0:
-            return beamform.BsaResult(hi, float(env.rate(hi)), True,
-                                      evals + 1, 0)
+            return beamform.BsaBatch(hi, float(env.rate(hi)), True,
+                                     evals + 1, 0)
         evals += 2
         if slope(0.0) <= 0:
-            return beamform.BsaResult(0.0, float(env.rate(0.0)), True,
-                                      evals + 1, 0)
+            return beamform.BsaBatch(0.0, float(env.rate(0.0)), True,
+                                     evals + 1, 0)
     iters = 0
     while up - lo > zeta1:
         mid = 0.5 * (lo + up)
@@ -215,12 +221,12 @@ def _scalar_bsa(env, zeta1, prescan=129):
         evals += 2
         iters += 1
     q = 0.5 * (lo + up)
-    return beamform.BsaResult(q, float(env.rate(q)), unimodal, evals + 1,
-                              iters)
+    return beamform.BsaBatch(q, float(env.rate(q)), unimodal, evals + 1,
+                             iters)
 
 
 def _batch_rows(batch):
-    return [beamform.BsaResult(float(q), float(o), bool(u), int(e), int(i))
+    return [beamform.BsaBatch(float(q), float(o), bool(u), int(e), int(i))
             for q, o, u, e, i in zip(*batch)]
 
 
@@ -305,28 +311,55 @@ def test_bsa_batch_rejects_an_empty_interval():
 
 # -- decisions -----------------------------------------------------------------
 
-def test_decision_at_covertness_residual(cfg, gains0, env0):
-    for q_c in (0.0, 1e-6, 4.364e-6, 1e-4):
-        d = beamform.decision_at(cfg, gains0, q_c)
+def test_decision_at_covertness_residual(env0):
+    q_c = np.array([0.0, 1e-6, 4.364e-6, 1e-4])
+    for q in q_c:
+        d = beamform.decision_at(env0, q)
+        assert isinstance(d.q_b, float) and d.theta == 0.0
         assert d.covertness_residual(env0) <= 1e-9
-        assert np.linalg.norm(d.u_b) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(d.u_c) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(d.w_b) ** 2 == pytest.approx(d.q_b, rel=1e-12)
-        assert np.linalg.norm(d.w_c) ** 2 == pytest.approx(
-            d.q_c, rel=1e-12, abs=1e-300)
+    # one slot at four powers as one table: four rows, same residuals
+    table = beamform.decision_at(env0, q_c)
+    assert len(table) == 4
+    assert np.all(table.covertness_residual(env0) <= 1e-9)
 
 
 def test_decide_slot_matches_search_then_package(cfg, gains0):
-    d = beamform.decide_slot(cfg, gains0, 0)
+    """The table at the batched search's powers is, in slot 0, the one-slot
+    search packaged at its power."""
+    table = beamform.decision_at(beamform.slot_env(cfg, gains0),
+                                 beamform.bsa_slots(cfg, gains0).q_c)
+    d = table[0]
     res = beamform.bsa_optimize(cfg, gains0, slot=0)
     assert d.q_c == res.q_c
     assert d.rate == pytest.approx(res.objective, rel=1e-12)
     assert d.r_s == pytest.approx(cfg.r_t - d.r_w, rel=1e-12)
 
 
+def test_decision_table_is_read_only(cfg, gains0):
+    table = beamform.decision_at(beamform.slot_env(cfg, gains0),
+                                 np.zeros(cfg.n_slots))
+    assert len(table) == cfg.n_slots
+    for name in ("q_b", "q_c", "theta", "r_w", "r_s", "scp", "ccp", "rate"):
+        col = getattr(table, name)
+        assert col.shape == (cfg.n_slots,)
+        with pytest.raises(ValueError):
+            col[0] = 1.0
+
+
+def test_decision_table_names_the_over_budget_slot(cfg, gains0):
+    env = beamform.slot_env(cfg, gains0)
+    tight = dataclasses.replace(env, c_cw=env.c_cw * 1e7)
+    q_c = np.full(cfg.n_slots, 0.5 * tight.q_c_feasible)
+    q_c[5] = 2.0 * tight.q_c_feasible
+    bound = re.escape(f"q_c must stay <= {tight.q_c_feasible:.6g} W")
+    with pytest.raises(CovertBudgetError, match=f"slot 5: .*{bound}"):
+        beamform.decision_at(tight, q_c)
+    beamform.decision_at(tight, 0.5 * q_c)   # within budget everywhere
+
+
 def test_decision_canonical_operating_point(cfg, gains0, env0):
     res = beamform.bsa_optimize(cfg, gains0)
-    d = beamform.decision_at(cfg, gains0, res.q_c)
+    d = beamform.decision_at(env0, res.q_c)
     assert d.q_b == pytest.approx(0.9999987928793046, rel=1e-10)
     # the redundancy holds the covered secrecy outage exactly at the cap
     sop = secmetrics.sop_h1(d.q_b * env0.g_bw, d.q_c * env0.c_cw,
@@ -334,37 +367,43 @@ def test_decision_canonical_operating_point(cfg, gains0, env0):
     assert sop == pytest.approx(cfg.eta_s, rel=1e-10)
     assert d.r_w == pytest.approx(14.978979722845917, rel=1e-8)
     assert d.r_s == pytest.approx(1.0210202771540828, rel=1e-8)
-    assert d.scp_h1 == pytest.approx(0.6475295069885448, rel=1e-7)
+    assert d.scp == pytest.approx(0.6475295069885448, rel=1e-7)
     assert d.ccp == pytest.approx(0.2573505307463259, rel=1e-6)
 
 
-def test_h0_decision_canonical(cfg, gains0):
-    d = beamform.h0_decision(cfg, gains0, 0)
+def _sop_h0(env, d):
+    """Covert-silent secrecy outage of design d at its own r_w."""
+    return secmetrics.sop_h0(env.budget, env.sigma_w2, d.r_w)
+
+
+def test_h0_decision_canonical(cfg, env0):
+    d = beamform.h0_decision(env0)
     assert d.q_b == cfg.q_b_max_w
+    assert d.q_c == d.theta == d.ccp == 0.0
     assert d.r_w == pytest.approx(14.991011155662155, rel=1e-12)
     assert d.r_s == pytest.approx(1.0089888443378445, rel=1e-10)
-    assert d.scp_h0 == pytest.approx(0.9458183475368589, rel=1e-12)
+    assert d.scp == pytest.approx(0.9458183475368589, rel=1e-12)
     # the outage cap binds exactly for this scenario
-    assert d.sop_h0 == pytest.approx(cfg.eta_s, rel=1e-10)
+    assert _sop_h0(env0, d) == pytest.approx(cfg.eta_s, rel=1e-10)
     assert d.rate == pytest.approx(0.9543201614347451, rel=1e-10)
 
 
 def test_h0_redundancy_is_the_zero_cover_rule(cfg, gains0):
     """At a lax cap (eta_s > 1/e) the covert-silent redundancy is still the
     covert-active rule at zero cover, and the outage sits at the cap."""
-    lax = with_overrides(cfg, eta_s=0.5)
-    h0 = beamform.h0_decision(lax, gains0, 0)
-    assert h0.r_w == beamform.decision_at(lax, gains0, 0.0).r_w
+    env = beamform.slot_env(with_overrides(cfg, eta_s=0.5), gains0, 0)
+    h0 = beamform.h0_decision(env)
+    assert h0.r_w == beamform.decision_at(env, 0.0).r_w
     assert h0.r_w == pytest.approx(12.259240326604953, rel=1e-12)
-    assert h0.sop_h0 == pytest.approx(0.5, rel=1e-12)
+    assert _sop_h0(env, h0) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_h0_outage_cap_binds_when_tight(cfg, gains0):
     """For caps below 1/e the boundary redundancy exceeds the capacity."""
     for eta in (0.005, 0.01, 0.1, 0.3):
-        tight = with_overrides(cfg, eta_s=eta)
-        d = beamform.h0_decision(tight, gains0, 0)
-        assert d.sop_h0 <= eta * (1.0 + 1e-9)
+        env = beamform.slot_env(with_overrides(cfg, eta_s=eta), gains0, 0)
+        d = beamform.h0_decision(env)
+        assert _sop_h0(env, d) <= eta * (1.0 + 1e-9)
 
 
 # -- direction choice over the beam family --------------------------------------
@@ -383,6 +422,7 @@ def test_choose_directions_never_worse_than_mrt(cfg, gains0):
                                             theta=0.0)
         mrt = beamform.bsa_optimize(cfg, env=mrt_env)
         assert picked.decision.rate >= mrt.objective - 1e-12
+        assert picked.decision.theta == picked.theta
         assert np.linalg.norm(picked.u_c) == pytest.approx(1.0, rel=1e-12)
         # the secret beam is maximum-ratio toward the receiver
         mrt_b = h_ba / np.linalg.norm(h_ba)
@@ -433,10 +473,14 @@ def test_oracle_2d_rejects_coarse_grid(cfg, gains0):
 
 # -- artifacts -------------------------------------------------------------------
 
-def test_write_decisions_csv(cfg, gains0, tmp_path):
-    d = beamform.decide_slot(cfg, gains0, 0)
+def test_write_decisions_csv(env0, tmp_path):
+    q_c = beamform.bsa_optimize(env=env0).q_c
+    table = beamform.decision_at(env0, np.array([q_c, q_c]))
     path = tmp_path / "decisions.csv"
-    beamform.write_decisions_csv(path, [d, d])
+    beamform.write_decisions_csv(path, table)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "slot,q_b,q_c,theta,r_w,r_s,scp_h1,ccp,rate"
     assert len(lines) == 3
+    d = table[1]
+    assert lines[2] == ",".join(map(repr, [1, d.q_b, d.q_c, d.theta, d.r_w,
+                                           d.r_s, d.scp, d.ccp, d.rate]))

@@ -179,10 +179,10 @@ def test_rate_sweep_secret_power(cfg, tmp_path):
     plan = trajectory.initial_plan(cfg)
     gains = channel.gains_for_positions(cfg, plan.comm_positions)
     assert arr["q_b"][-1] == cfg.q_b_max_w
-    assert arr["rate"][-1] == beamform.h0_decision(cfg, gains, slot=0).rate
+    env = beamform.slot_env(cfg, gains, 0)
+    assert arr["rate"][-1] == beamform.h0_decision(env).rate
     # seeded grid points against the covert-silent rule written out per
     # point in scalar math (the sweep evaluates it as one array call)
-    env = beamform.slot_env(cfg, gains, 0)
     rng = np.random.default_rng(11)
     for i in rng.choice(len(arr), 20, replace=False):
         q_b = float(arr["q_b"][i])

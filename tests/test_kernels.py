@@ -104,11 +104,11 @@ def test_kernel_matches_slot_env_rate(cfg, overrides):
     for slot in map(int, rng.integers(0, len(gains0.g_ba), 24)):
         env = beamform.slot_env(cfg, gains0, slot)
         q = float(rng.uniform(0.0, env.q_c_feasible))
-        d = beamform.decision_at(cfg, gains0, q, slot=slot)
+        d = beamform.decision_at(env, q)
         assert d.rate == env.rate(q)
         _, p_ba, p_ca, p_cw = env.split_powers(q)
         rel = dict(rel=1e-12, abs=1e-300)
-        assert d.scp_h1 == pytest.approx(
+        assert d.scp == pytest.approx(
             secmetrics.scp_h1(p_ba, p_ca, env.sigma_a2, env.r_t), **rel)
         assert d.ccp == pytest.approx(
             secmetrics.ccp(p_ba, p_ca, env.sigma_a2, env.r_t, env.r_c), **rel)

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from covertuav import (beamform, channel, mc_oracle, orchestrator, secmetrics,
-                       trajectory)
+from covertuav import (beamform, channel, mc_oracle, orchestrator, scenario,
+                       secmetrics, trajectory)
 from covertuav.scenario import with_overrides
 
 
@@ -109,6 +109,39 @@ def test_bcd_design_holds_the_secrecy_outage_cap(cfg, bcd_canonical):
     assert est.agrees_with(cfg.eta_s)
 
 
+def test_decision_rows_hold_the_covertness_residual(cfg, bcd_canonical):
+    """Iterating a run's table yields one-slot rows, each holding the
+    received-power coupling against its own one-slot environment."""
+    gains = channel.gains_for_positions(cfg, bcd_canonical.plan.comm_positions)
+    rows = list(enumerate(bcd_canonical.decisions))
+    assert len(rows) == cfg.n_slots
+    for slot, d in rows:
+        assert isinstance(d.q_c, float)
+        assert d.q_c == bcd_canonical.q_c[slot]
+        assert d.covertness_residual(beamform.slot_env(cfg, gains, slot)) \
+            <= 1e-9
+
+
+_COLUMNS = ("q_b", "q_c", "theta", "r_w", "r_s", "scp", "ccp", "rate")
+
+
+@pytest.mark.parametrize("name", ["paper_default", "paper_t100"])
+def test_decision_table_equals_the_slot_by_slot_records(name):
+    """The table of a finished run equals, column for column, the
+    one-slot records built slot by slot from one-slot environments."""
+    cfg = scenario.bundled_scenario(name)
+    for run, build in ((orchestrator.run_bcd, beamform.decision_at),
+                       (orchestrator.run_h0_benchmark,
+                        lambda env, q: beamform.h0_decision(env))):
+        trace = run(cfg)
+        gains = channel.gains_for_positions(cfg, trace.plan.comm_positions)
+        rows = [build(beamform.slot_env(cfg, gains, s), trace.q_c[s])
+                for s in range(cfg.n_slots)]
+        for col in _COLUMNS:
+            assert getattr(trace.decisions, col).tolist() == \
+                [getattr(r, col) for r in rows], (run.__name__, col)
+
+
 def test_bcd_starts_from_silent_covert_user(cfg, bcd_canonical):
     plan0 = trajectory.initial_plan(cfg)
     base = trajectory.trajectory_objective(plan0, 0.0, cfg)
@@ -131,11 +164,15 @@ def test_h0_benchmark(cfg):
     assert np.all(np.diff(obj) >= 0)
     assert trace.objective == pytest.approx(0.991605, rel=1e-3)
     assert np.all(trace.q_c == 0.0)
-    for d in trace.decisions:
-        assert d.sop_h0 <= cfg.eta_s * (1.0 + 1e-9)
-        assert d.q_b == cfg.q_b_max_w
-        # no covert stream: the rate is purely the secret term
-        assert d.rate == pytest.approx(d.scp_h0 * d.r_s, rel=1e-12)
+    d = trace.decisions
+    env = beamform.slot_env(cfg, channel.gains_for_positions(
+        cfg, trace.plan.comm_positions))
+    sop = secmetrics.sop_h0(env.budget, env.sigma_w2, d.r_w)
+    assert np.all(np.asarray(sop) <= cfg.eta_s * (1.0 + 1e-9))
+    assert np.all(d.q_b == cfg.q_b_max_w)
+    assert np.all((d.q_c == 0.0) & (d.theta == 0.0) & (d.ccp == 0.0))
+    # no covert stream: the rate is purely the secret term
+    np.testing.assert_allclose(d.rate, d.scp * d.r_s, rtol=1e-12)
 
 
 def test_sotfb_pins_covert_power(cfg):

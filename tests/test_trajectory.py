@@ -1,6 +1,8 @@
 """Flight-plan construction, the slack-distance rate model, and the
 successive convex refinement loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -99,6 +101,16 @@ def test_check_feasible_named_failures(cfg, plan0):
         loose.check_feasible(cfg)
 
 
+def test_check_feasible_slack_test_uses_tol(cfg, plan0):
+    """The slack test honors the caller's tolerance like every other
+    invariant: a 5e-7 m^2 shortfall passes at the default 1e-6 and fails
+    at 1e-9."""
+    short = dataclasses.replace(plan0, mu_ba=plan0.mu_ba - 5e-7)
+    short.check_feasible(cfg)
+    with pytest.raises(TrajectoryError, match="slack below"):
+        short.check_feasible(cfg, tol=1e-9)
+
+
 # -- rate as a function of the slack distances ----------------------------------
 
 @pytest.mark.parametrize("overrides, pinned", [
@@ -112,7 +124,7 @@ def test_rate_of_mu_matches_slot_objective(cfg, plan0, overrides, pinned):
     cfg = with_overrides(cfg, **overrides)
     gains0 = channel.gains_for_positions(cfg, plan0.comm_positions)
     got = trajectory.rate_of_mu(130000.0, 62500.0, 5e-6, cfg)
-    ref = beamform.slot_objective(5e-6, cfg, gains0, slot=0)
+    ref = beamform.slot_env(cfg, gains0, 0).rate(5e-6)
     assert got == pytest.approx(ref, rel=1e-12)
     assert got == pytest.approx(pinned, rel=1e-9)
 
@@ -123,7 +135,7 @@ def test_rate_of_mu_matches_slot_objective(cfg, plan0, overrides, pinned):
         rate = trajectory.rate_of_mu(plan0.mu_ba[slot], plan0.mu_ca[slot], q,
                                      cfg)
         assert rate == env.rate(q)
-        assert rate == beamform.decision_at(cfg, gains0, q, slot=slot).rate
+        assert rate == beamform.decision_at(env, q).rate
 
 
 def test_rate_of_mu_vanishes_far_away(cfg):
