@@ -5,14 +5,19 @@ draws (standard normals scaled by the link powers) and counts successes; none
 of them evaluate the closed-form expressions.
 
 Every estimator counts through one chunked counter (`_count_hits`): chunk
-w of the samples draws from `make_rng(seed, worker=w)`, so the merged counts
-are order-independent and a parallel execution would reproduce the serial
-result. The agreement sweep keys each row with `_row_seed`, a hash of the
-base seed and the row index, so no row replays another row's stream at a
-nearby base seed.
+w of the samples draws from `make_rng(seed, worker=w)`, and the chunks are
+counted on the CPUs the process may use, the calling thread taking every
+k-th one and a shared pool of helper threads the rest. Counts are summed as
+integers, so every estimate is bit-identical to the serial loop's whatever
+the CPU count and the order in which chunks finish. Draws are streamed in
+fixed-size blocks, so a chunk in flight holds little more than its output.
+The agreement sweep keys each row with `_row_seed`, a hash of the base seed
+and the row index, so no row replays another row's stream at a nearby base
+seed.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ __all__ = ["McEstimate", "MIN_SAMPLES",
 MIN_SAMPLES = 10_000
 _CHUNK = 250_000
 _TRIAL_CHUNK = 2_500
+_BLOCK = 32_768     # normals per streamed draw block
 
 
 @dataclass(frozen=True)
@@ -59,13 +65,69 @@ def _check_samples(samples):
     return samples
 
 
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_POOL = None    # (executor, helper count), built on the first parallel count
+
+
+def _helper_pool(helpers):
+    """The shared pool of at least `helpers` threads, built on first use."""
+    global _POOL
+    if _POOL is None or _POOL[1] < helpers:
+        from concurrent.futures import ThreadPoolExecutor
+        if _POOL is not None:
+            _POOL[0].shutdown(wait=False)
+        _POOL = (ThreadPoolExecutor(helpers, thread_name_prefix="mc-chunk"),
+                 helpers)
+    return _POOL[0]
+
+
 def _count_hits(event, samples, seed, chunk=_CHUNK):
     """Sum of event(rng, n) over chunks of at most `chunk` samples, chunk w
     drawing from `make_rng(seed, worker=w)`; an event may count several
-    outcomes at once as an array."""
-    hits = 0
-    for worker, done in enumerate(range(0, samples, chunk)):
-        hits += event(make_rng(seed, worker=worker), min(chunk, samples - done))
+    outcomes at once as an array.
+
+    With k = min(chunks, CPUs) > 1, the calling thread counts chunks 0, k,
+    2k, ... and k - 1 pool threads the other residues. If a chunk raises,
+    the chunks not yet started are dropped and that exception is raised.
+    """
+    chunks = -(-samples // chunk)
+    k = min(chunks, _cpus())
+    failed = []
+
+    def count(first):
+        hits = 0
+        try:
+            for worker in range(first, chunks, k):
+                if failed:
+                    break
+                hits += event(make_rng(seed, worker=worker),
+                              min(chunk, samples - worker * chunk))
+        except BaseException:
+            failed.append(True)
+            raise
+        return hits
+
+    if k == 1:
+        return count(0)
+    pool = _helper_pool(k - 1)
+    helpers = [pool.submit(count, first) for first in range(1, k)]
+    try:
+        hits = count(0)
+        for future in helpers:
+            hits += future.result()
+    except BaseException:
+        failed.append(True)
+        for future in helpers:
+            if not future.cancel():
+                future.exception()      # let a running chunk finish
+        raise
     return hits
 
 
@@ -76,15 +138,24 @@ def _estimate(event, samples, seed):
 
 
 def _exp_power(rng, mean, n):
-    """n draws of |z|^2 with z complex Gaussian of variance `mean`."""
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
-    # in place: same operations and rounding as (0.5*mean)*(re*re + im*im)
-    re *= re
-    im *= im
-    re += im
-    re *= 0.5 * mean
-    return re
+    """n draws of |z|^2 with z complex Gaussian of variance `mean`.
+
+    The n real parts are drawn at once and the n imaginary parts in blocks
+    of `_BLOCK` through one buffer. A Generator's stream does not depend on
+    the call sizes, so this is (0.5*mean)*(re*re + im*im) of one-shot draws
+    bit for bit: the same operations in the same order.
+    """
+    out = rng.standard_normal(n)
+    out *= out
+    buf = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        part = out[start:start + _BLOCK]
+        im = buf[:len(part)]
+        rng.standard_normal(out=im)
+        im *= im
+        part += im
+    out *= 0.5 * mean
+    return out
 
 
 # -- power-parameterized event estimators --------------------------------------
@@ -280,10 +351,19 @@ def mc_dep(stats, q_th=None, trials=10_000, seed=0):
     if q <= 0:
         raise ValueError("threshold q_th must be positive")
     m = int(stats.m)
+    rows = max(1, _BLOCK // (2 * m))
+
+    def statistic(rng, n, scale):
+        # the (n, 2m) draw in row blocks of one stream, so the per-trial
+        # statistics are those of a one-shot draw
+        return np.concatenate([
+            kernels.radiometer_statistic(
+                rng.standard_normal((min(rows, n - start), 2 * m)), scale)
+            for start in range(0, n, rows)])
 
     def event(rng, n):
-        t0 = kernels.radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma0)
-        t1 = kernels.radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma1)
+        t0 = statistic(rng, n, stats.sigma0)
+        t1 = statistic(rng, n, stats.sigma1)
         return np.array([np.count_nonzero(t0 > q), np.count_nonzero(t1 <= q)])
 
     fa, md = _count_hits(event, trials, seed, chunk=_TRIAL_CHUNK)

@@ -3,8 +3,11 @@
 All randomness in the package flows through Philox counter-based generators
 (`numpy.random.Philox`). Philox is stateless-per-key, so a (seed, stream)
 pair fully determines the sequence: the same seed reproduces the same draws
-on any machine, and parallel workers get independent streams by XOR-ing the
-worker index into the key.
+on any machine. A worker's key is the base seed XOR the worker index, so
+the streams are not independent across nearby seeds: base seeds s and s'
+share a key whenever s ^ s' is a worker index in use. A four-chunk Monte
+Carlo count (workers 0-3) at any of the seeds 12-15 therefore draws from the
+same four keys, 12-15, and gives the same counts.
 """
 
 import numpy as np

@@ -5,6 +5,10 @@ tight enough to be meaningful but the suite stays fast.
 """
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -119,23 +123,160 @@ def test_mc_dep_matches_closed_form_at_longer_blocks():
 
 
 def test_mc_dep_counts_2500_trial_chunks_keyed_by_worker():
-    """mc_dep's counts are those of chunks of 2 500 trials, the last one
-    the remainder, chunk w drawing from make_rng(seed, worker=w)."""
-    stats = DetectionStats(1.0, 1.8, sm.optimal_threshold(1.0, 1.8), 10)
-    trials, seed, m = 12_345, 7, 10
-    fa = md = 0
-    for worker, start in enumerate(range(0, trials, 2_500)):
-        n = min(2_500, trials - start)
-        rng = make_rng(seed, worker=worker)
-        t0 = radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma0)
-        t1 = radiometer_statistic(rng.standard_normal((n, 2 * m)), stats.sigma1)
-        fa += int(np.count_nonzero(t0 > stats.q_th))
-        md += int(np.count_nonzero(t1 <= stats.q_th))
-    assert worker == 4 and n == 2_345
-    pf, pm, pe = mc.mc_dep(stats, trials=trials, seed=seed)
-    assert (pf.estimate, pm.estimate) == (fa / trials, md / trials)
-    assert pf.n_samples == pm.n_samples == pe.n_samples == trials
-    assert pe.estimate == pf.estimate + pm.estimate
+    """mc_dep's counts are those of one-shot (n, 2m) draws over chunks of
+    2 500 trials, the last one the remainder, chunk w drawing from
+    make_rng(seed, worker=w); at m = 10 and 100 its row blocks are shorter
+    than a chunk."""
+    trials, seed = 12_345, 7
+    for m in (1, 10, 100):
+        stats = DetectionStats(1.0, 1.8, sm.optimal_threshold(1.0, 1.8), m)
+        fa = md = 0
+        for worker, start in enumerate(range(0, trials, 2_500)):
+            n = min(2_500, trials - start)
+            rng = make_rng(seed, worker=worker)
+            t0 = radiometer_statistic(rng.standard_normal((n, 2 * m)),
+                                      stats.sigma0)
+            t1 = radiometer_statistic(rng.standard_normal((n, 2 * m)),
+                                      stats.sigma1)
+            fa += int(np.count_nonzero(t0 > stats.q_th))
+            md += int(np.count_nonzero(t1 <= stats.q_th))
+        assert worker == 4 and n == 2_345
+        pf, pm, pe = mc.mc_dep(stats, trials=trials, seed=seed)
+        assert (pf.estimate, pm.estimate) == (fa / trials, md / trials)
+        assert pf.n_samples == pm.n_samples == pe.n_samples == trials
+        assert pe.estimate == pf.estimate + pm.estimate
+
+
+# -- chunked counting: bits and threads -----------------------------------------
+
+def _one_shot(rng, mean, n):
+    re = rng.standard_normal(n)
+    im = rng.standard_normal(n)
+    return (0.5 * mean) * (re * re + im * im)
+
+
+# estimator name -> (arguments, the same event on one-shot draws)
+_SERIAL_EVENTS = {
+    "scp_h0": ((1.0, 1.0, 1.0),
+               lambda rng, n: _one_shot(rng, 1.0, n) >= 1.0),
+    "scp_h1": ((2.0, 1.0, 1.0, 1.0),
+               lambda rng, n: 2.0 >= 1.0 * (_one_shot(rng, 1.0, n) + 1.0)),
+    "sop_h0": ((1.5, 1.0, 1.0),
+               lambda rng, n: _one_shot(rng, 1.5, n) >= 1.0),
+    "sop_h1": ((2.0, 1.0, 1.0, 1.0),
+               lambda rng, n: _one_shot(rng, 2.0, n)
+               >= 1.0 * (_one_shot(rng, 1.0, n) + 1.0)),
+    "ccp": ((2.0, 1.0, 1.0, 1.0, 0.5),
+            lambda rng, n: (2.0 >= 1.0 * (_one_shot(rng, 1.0, n) + 1.0))
+            & (_one_shot(rng, 1.0, n) >= (2.0 ** 0.5 - 1.0) * 1.0)),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("metric", sorted(_SERIAL_EVENTS))
+def test_estimates_equal_a_serial_one_shot_loop(metric, cpus, monkeypatch):
+    """Three chunks, the last one partial: every estimate is the serial
+    loop's over one-shot draws, whatever the CPU count."""
+    monkeypatch.setattr(mc, "_cpus", lambda: cpus)
+    args, event = _SERIAL_EVENTS[metric]
+    samples, seed = 600_001, 3
+    hits = 0
+    for worker, start in enumerate(range(0, samples, 250_000)):
+        n = min(250_000, samples - start)
+        hits += int(np.count_nonzero(event(make_rng(seed, worker=worker), n)))
+    assert worker == 2 and n == 100_001
+    est = getattr(mc, f"estimate_{metric}")(*args, samples=samples, seed=seed)
+    assert est.estimate == hits / samples
+    assert 0.05 < est.estimate < 0.95
+
+
+def test_exp_power_streams_blocks_bit_for_bit():
+    n = 3 * mc._BLOCK + 5
+    rng_a, rng_b = make_rng(5), make_rng(5)
+    assert np.array_equal(mc._exp_power(rng_a, 2.5, n), _one_shot(rng_b, 2.5, n))
+    # both consumed the same stretch of the stream
+    assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+def _positive_normals(rng, n):
+    return int(np.count_nonzero(rng.standard_normal(n) > 0.0))
+
+
+def _serial_count(event, samples, seed, chunk):
+    return sum(event(make_rng(seed, worker=w), min(chunk, samples - start))
+               for w, start in enumerate(range(0, samples, chunk)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_count_hits_reraises_a_chunk_error(cpus, monkeypatch):
+    """A ValueError in chunk 2 (the caller's with two CPUs, a helper's with
+    three) is raised as is, and the next count is the serial one."""
+    monkeypatch.setattr(mc, "_cpus", lambda: cpus)
+    error = ValueError("chunk 2 failed")
+
+    def event(rng, n):
+        if n == 7:      # only chunk 2 is this short
+            raise error
+        return _positive_normals(rng, n)
+
+    with pytest.raises(ValueError) as info:
+        mc._count_hits(event, 2_007, seed=4, chunk=1_000)
+    assert info.value is error
+    assert (mc._count_hits(_positive_normals, 5_007, seed=4, chunk=1_000)
+            == _serial_count(_positive_normals, 5_007, 4, 1_000))
+
+
+def test_count_hits_drops_the_chunks_after_an_error(monkeypatch):
+    """Once the caller's chunk 0 fails, the helper ends with the chunk it
+    is counting (chunk 1) and starts none of its other nine."""
+    monkeypatch.setattr(mc, "_cpus", lambda: 2)
+    caller, started, calls = threading.current_thread(), threading.Event(), []
+
+    def event(rng, n):
+        calls.append(n)
+        if threading.current_thread() is caller:
+            assert started.wait(timeout=10.0)
+            raise ValueError("chunk 0 failed")
+        started.set()
+        time.sleep(0.2)     # the caller raises meanwhile
+        return 0
+
+    with pytest.raises(ValueError, match="chunk 0"):
+        mc._count_hits(event, 20_000, seed=1, chunk=1_000)
+    assert len(calls) == 2
+
+
+def test_count_hits_under_frequent_thread_switches(monkeypatch):
+    """More workers than cores and a switch every microsecond: a lost or
+    doubled chunk would change the count."""
+    monkeypatch.setattr(mc, "_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = {mc._count_hits(_positive_normals, 64_003, seed=9, chunk=1_000)
+                  for _ in range(5)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == {_serial_count(_positive_normals, 64_003, 9, 1_000)}
+
+
+def test_one_chunk_count_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(mc, "_cpus", lambda: 4)
+
+    def no_pool(helpers):
+        raise AssertionError("a one-chunk count asked for the pool")
+
+    monkeypatch.setattr(mc, "_helper_pool", no_pool)
+    before = threading.active_count()
+    assert (mc._count_hits(_positive_normals, 1_000, seed=2, chunk=1_000)
+            == _serial_count(_positive_normals, 1_000, 2, 1_000))
+    mc.estimate_scp_h0(1.0, 1.0, 1.0, samples=250_000, seed=2)
+    assert threading.active_count() == before
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert mc._cpus() == (os.cpu_count() or 1)
 
 
 # -- vector-channel checks ----------------------------------------------------
