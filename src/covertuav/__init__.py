@@ -15,7 +15,7 @@ The usual entry points:
 * :mod:`covertuav.mc_oracle`    simulation cross-checks
 * :mod:`covertuav.beamform`     per-slot power/beam decisions
 * :mod:`covertuav.trajectory`   flight-path refinement
-* :mod:`covertuav.orchestrator` the alternating planner
+* :mod:`covertuav.orchestrator` the joint planner and its baselines
 * :mod:`covertuav.cli`          command-line front end
 """
 

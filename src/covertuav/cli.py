@@ -4,7 +4,7 @@ Four subcommands cover the working surfaces of the package:
 
 * ``metrics-sweep``   one security metric swept as CSV curves
 * ``rate-vs-power``   the weighted slot rate against a transmit power
-* ``optimize``        the alternating planner, artifacts dumped to disk
+* ``optimize``        the joint planner or a baseline, artifacts dumped to disk
 * ``validate``        simulation cross-checks plus invariant spot checks
 
 Each command writes plain one-header CSV files into the output directory
@@ -232,10 +232,8 @@ def cmd_optimize(cfg, mode, outdir, kappa=None, max_iters=50):
               "h0": orchestrator.run_h0_benchmark}[mode]
     trace = runner(cfg, max_iters=max_iters)
     files = orchestrator.write_run_artifacts(outdir, cfg, trace)
-    # only jotb alternates; sotfb and h0 make one trajectory-block call
-    steps = "outer rounds" if mode == "jotb" else "refinement iterations"
     print(f"{mode}: objective {trace.objective:.6f} after "
-          f"{trace.iterations} {steps} "
+          f"{trace.iterations} refinement iterations "
           f"({'converged' if trace.converged else 'iteration cap'})")
     if trace.error:
         print(f"optimization failed: {trace.error}", file=sys.stderr)
@@ -407,7 +405,7 @@ def build_parser():
     p.add_argument("--mode", default="h1", choices=RATE_MODES)
 
     p = sub.add_parser("optimize", parents=[common],
-                       help="run the alternating planner")
+                       help="run the joint planner or a baseline")
     p.add_argument("--mode", default="jotb", choices=OPTIMIZE_MODES)
     p.add_argument("--kappa", type=float, default=None,
                    help="override the objective weight")

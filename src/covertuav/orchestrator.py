@@ -1,19 +1,16 @@
-"""Planner runs: the joint alternation and its two one-block benchmarks.
+"""Planner runs: the joint run and its two fixed-power benchmarks.
 
-The joint run (`run_bcd`) alternates two blocks. Block one maximizes each
-slot's weighted rate exactly over the covert power at the current
-positions; block two refines the flight path at the accepted powers. Both
-blocks carry an acceptance guard — an update only lands if the global mean
-rate does not decrease — so the recorded trace is nondecreasing
-unconditionally, and the loop stops once an outer round moves the
-objective by less than the configured tolerance.
-
-The two benchmarks fix the powers, so they have only the trajectory block:
-the fixed-beamformer baseline (`run_sotfb`) pins every slot's covert power
-at the cap, and the covert-user-silent benchmark (`run_h0_benchmark`)
-evaluates the covert-silent slot model. Each runs that block once, one
-successive-refinement call whose accepted steps form its trace. One private
-driver runs all three.
+Every run is one successive-refinement call (`trajectory.sca_trajectory`)
+from the straight-line starting plan, and the runs differ only in the slot
+powers a plan is valued at. The joint run (`run_bcd`) values each plan at
+the exact per-slot power search, so it maximizes V(plan) = mean over slots
+of max_q R_s: the paper's two-block scheme with the power block solved at
+every trial plan and the trajectory block one SCA step. A step lands only
+if V does not decrease, so the trace is nondecreasing, and the loop stops
+once a step moves V by less than the configured tolerance. The
+fixed-beamformer baseline (`run_sotfb`) pins every slot's covert power at
+the cap, and the covert-user-silent benchmark (`run_h0_benchmark`)
+evaluates the covert-silent slot model.
 
 Also here: the weight-sweep frontier and the run artifacts.
 """
@@ -39,14 +36,13 @@ __all__ = [
 class BcdTrace:
     """Outcome of one planner run.
 
-    objectives[0] is the starting point's mean rate; one more entry lands
-    per completed outer round of the joint run, or per accepted
-    successive-refinement step of a one-block benchmark. iterations counts
-    those rounds, or the refinement iterations. decisions is the final
-    per-slot design table (`beamform.SlotDecisions`) and plan the final
-    flight path. error is None unless a block failed, in which case the
-    last accepted iterate is returned with a message naming the outer
-    round and the block ("round 3, trajectory block: ...").
+    objectives[0] is the starting plan's mean rate at its slot powers
+    (for the joint run, the searched ones), and one more entry lands per
+    accepted refinement step; iterations counts refinement iterations.
+    decisions is the final per-slot design table (`beamform.SlotDecisions`)
+    and plan the final flight path. error is None unless a call failed:
+    then the last accepted iterate is returned with a message naming the
+    iteration and the call ("round 3, power search: ...").
     """
 
     objectives: list
@@ -67,68 +63,41 @@ class BcdTrace:
         return self.objectives[-1]
 
 
-def _run(cfg, power, max_iters, tol):
-    """One planner run under the covert-power policy `power`.
+def _run(cfg, policy, max_iters, tol):
+    """One planner run under the covert-power policy `policy`.
 
-    "search" starts every slot at zero and alternates the exact per-slot
-    power search with the trajectory block. "pinned" fixes every slot at
-    the q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
-    "silent" at zero with the covert-silent slot model; with the powers
-    fixed there is nothing to alternate, so the trajectory block runs once.
+    "search" values every plan at the exact per-slot power search (zero
+    if it fails at the starting plan). "pinned" fixes every slot at the
+    q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
+    "silent" at zero with the covert-silent slot model.
     """
-    if tol is None:
-        tol = cfg.bcd_tol
     start = time.perf_counter()
     plan = trajectory.initial_plan(cfg)
     q_c = np.zeros(plan.n_slots)
-    if power == "pinned":
+    power = None
+    if policy == "pinned":
         gains = channel.gains_for_positions(cfg, plan.comm_positions)
         q_c[:] = kernels.slot_env(cfg, gains, 0).q_c_feasible
-    h0 = power == "silent"
-    obj = trajectory.trajectory_objective(plan, q_c, cfg, h0=h0)
-    objectives = [obj]
-    converged = False
-    rounds, block, error = 0, "trajectory block", None
-    try:
-        if power == "search":
-            for _ in range(max_iters):
-                rounds += 1
-                block = "beamformer block"
-                gains = channel.gains_for_positions(cfg, plan.comm_positions)
-                q_new = beamform.bsa_slots(cfg, gains).q_c
-                obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
-                if obj_b >= obj:
-                    q_c, obj = q_new, obj_b
-                block = "trajectory block"
-                sca = trajectory.sca_trajectory(plan, q_c, cfg)
-                obj_t = sca.objectives[-1]
-                if obj_t >= obj:
-                    plan, obj = sca.plan, obj_t
-                objectives.append(obj)
-                if abs(objectives[-1] - objectives[-2]) < tol:
-                    converged = True
-                    break
-        else:
-            rounds = 1
-            sca = trajectory.sca_trajectory(plan, q_c, cfg, h0=h0, tol=tol,
-                                            max_iters=max_iters)
-            plan, objectives = sca.plan, list(sca.objectives)
-            rounds, converged = sca.iterations, sca.converged
-    except (beamform.CovertBudgetError, trajectory.TrajectoryError,
-            np.linalg.LinAlgError) as exc:
-        error = f"round {rounds}, {block}: {type(exc).__name__}: {exc}"
+    elif policy == "search":
+        def power(p):
+            gains = channel.gains_for_positions(cfg, p.comm_positions)
+            return beamform.bsa_slots(cfg, gains).q_c
+    h0 = policy == "silent"
+    sca = trajectory.sca_trajectory(plan, q_c, cfg, h0=h0, tol=tol,
+                                    max_iters=max_iters, power=power)
     env = kernels.slot_env(
-        cfg, channel.gains_for_positions(cfg, plan.comm_positions))
+        cfg, channel.gains_for_positions(cfg, sca.plan.comm_positions))
     decisions = (beamform.h0_decision(env) if h0
-                 else beamform.decision_at(env, q_c))
-    return BcdTrace(objectives=objectives, decisions=decisions, plan=plan,
-                    iterations=rounds,
+                 else beamform.decision_at(env, sca.q_c))
+    return BcdTrace(objectives=sca.objectives, decisions=decisions,
+                    plan=sca.plan, iterations=sca.iterations,
                     wall_time=time.perf_counter() - start,
-                    converged=converged, error=error)
+                    converged=sca.converged, error=sca.error)
 
 
 def run_bcd(cfg, max_iters=50, tol=None):
-    """Alternate the two blocks until the mean weighted rate stalls."""
+    """Refine the flight path, each plan at its searched slot powers,
+    until the mean weighted rate stalls."""
     return _run(cfg, "search", max_iters, tol)
 
 
@@ -166,7 +135,7 @@ def _frontier_components(cfg, trace):
 
 
 def pareto_sweep(cfg, kappas, max_iters=50, tol=None):
-    """Run the alternating loop per weight and tabulate (kappa, Phi_s, Phi_c).
+    """Run the joint planner per weight and tabulate (kappa, Phi_s, Phi_c).
 
     A failed run lands in the table with its error message; the sweep
     continues with the remaining weights.

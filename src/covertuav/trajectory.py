@@ -635,16 +635,33 @@ def solve_subproblem(lin, plan_ref, cfg):
 
 @dataclass(frozen=True)
 class ScaResult:
-    """Refined plan plus the accepted true-objective trace."""
+    """Refined plan, its slot powers and the accepted true-objective trace.
+
+    error is None unless a call failed; the result then holds the last
+    accepted plan and names the iteration and the call ("round 3,
+    trajectory block: ..." or "round 3, power search: ...").
+    """
 
     plan: TrajectoryPlan
+    q_c: np.ndarray
     objectives: list
     converged: bool
     iterations: int
+    error: str = None
 
 
-def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60):
+def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60,
+                   power=None):
     """Iteratively linearize and re-solve until the mean rate stalls.
+
+    q_c holds the slot powers of plan0. power, when given, maps a plan to
+    its slot powers, and every plan, plan0 included, is valued at them (q_c
+    stands if the rule fails at plan0). If power returns each slot's rate
+    maximizer, the loop maximizes V(plan) = mean over slots of max_q R_s,
+    whose slack gradient, where the maximizer is unique, is the rate's
+    partial there (Danskin's theorem): `linearize` at (plan, power(plan)).
+    That is block-coordinate SCA with the exact power block solved at
+    every trial plan.
 
     Each accepted step blends the subproblem's acceleration profile toward
     the current plan until the true objective does not decrease (halving
@@ -656,41 +673,55 @@ def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60):
     if tol is None:
         tol = cfg.bcd_tol
     q = np.broadcast_to(np.asarray(q_c, dtype=float), (plan0.n_slots,))
+    if power is None:
+        def power(plan):
+            return q
     ref = plan0
-    obj = trajectory_objective(ref, q, cfg, h0=h0)
-    trace = [obj]
+    trace = []
     converged = False
     iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        lin = linearize(ref, q, cfg, h0=h0)
-        cand = solve_subproblem(lin, ref, cfg)
-        accepted = None
-        for alpha in 2.0 ** -np.arange(9):
-            acc = ((1 - alpha) * ref.accelerations[1:]
-                   + alpha * cand.accelerations[1:])
-            blend = rebuild_from_accels(cfg, acc, ref.velocities[0],
-                                        ref.positions[0])
-            try:
-                blend.check_feasible(cfg, tol=_BOX_TOL)
-            except TrajectoryError:
-                continue
-            val = trajectory_objective(blend, q, cfg, h0=h0)
-            if val >= obj:
-                accepted = (blend, val)
+    call, error = "power search", None
+    try:
+        q = power(ref)
+        obj = trajectory_objective(ref, q, cfg, h0=h0)
+        trace.append(obj)
+        for iterations in range(1, max_iters + 1):
+            call = "trajectory block"
+            lin = linearize(ref, q, cfg, h0=h0)
+            cand = solve_subproblem(lin, ref, cfg)
+            call = "power search"
+            accepted = None
+            for alpha in 2.0 ** -np.arange(9):
+                acc = ((1 - alpha) * ref.accelerations[1:]
+                       + alpha * cand.accelerations[1:])
+                blend = rebuild_from_accels(cfg, acc, ref.velocities[0],
+                                            ref.positions[0])
+                try:
+                    blend.check_feasible(cfg, tol=_BOX_TOL)
+                except TrajectoryError:
+                    continue
+                q_blend = power(blend)
+                val = trajectory_objective(blend, q_blend, cfg, h0=h0)
+                if val >= obj:
+                    accepted = (blend, q_blend, val)
+                    break
+            if accepted is None:
+                converged = True
                 break
-        if accepted is None:
-            converged = True
-            break
-        ref, new_obj = accepted
-        trace.append(new_obj)
-        if new_obj - obj < tol:
+            ref, q, new_obj = accepted
+            trace.append(new_obj)
+            if new_obj - obj < tol:
+                converged = True
+                break
             obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    return ScaResult(plan=ref, objectives=trace, converged=converged,
-                     iterations=iterations)
+    except (kernels.CovertBudgetError, TrajectoryError,
+            np.linalg.LinAlgError) as exc:
+        error = (f"round {max(iterations, 1)}, {call}: "
+                 f"{type(exc).__name__}: {exc}")
+        if not trace:
+            trace.append(trajectory_objective(ref, q, cfg, h0=h0))
+    return ScaResult(plan=ref, q_c=q, objectives=trace, converged=converged,
+                     iterations=iterations, error=error)
 
 
 _PLAN_COLUMNS = ("slot", "x", "y", "speed", "accel")

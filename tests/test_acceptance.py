@@ -231,8 +231,9 @@ def test_criterion_08_alternating_loop_converges(cfg, bcd130):
           and trace.iterations <= 50 and tightness <= 1e-4
           and elapsed < 600.0)
     assert _report(8, ok,
-                   f"alternating loop nondecreasing and converged in "
-                   f"{trace.iterations} outer rounds ({elapsed:.1f}s), "
+                   f"joint loop nondecreasing and converged in "
+                   f"{trace.iterations} refinement iterations "
+                   f"({elapsed:.1f}s), "
                    f"final objective {trace.objective:.6f}, slack "
                    f"tightness {tightness:.2e}")
 

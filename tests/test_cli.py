@@ -232,11 +232,10 @@ def test_optimize_fixed_beamformer_pins_covert_power(cfg, tmp_path):
 
 
 @pytest.mark.parametrize("mode, steps", [
-    ("jotb", "outer rounds"), ("sotfb", "refinement iterations"),
+    ("jotb", "refinement iterations"), ("sotfb", "refinement iterations"),
     ("h0", "refinement iterations")])
 def test_optimize_names_what_it_counts(cfg, mode, steps, tmp_path, capsys):
-    """Only the joint run alternates; the one-block benchmarks report the
-    refinement iterations of their single trajectory-block call. The
+    """Every mode is one refinement loop and reports its iterations. The
     returned file list is what landed on disk."""
     code, files = cli.cmd_optimize(cfg, mode, str(tmp_path), max_iters=1)
     assert code == cli.EXIT_OK

@@ -1,4 +1,4 @@
-"""Alternating optimization runs, baselines, and run artifacts."""
+"""Joint and fixed-power planner runs, baselines, and run artifacts."""
 
 import math
 import os
@@ -57,42 +57,55 @@ def _failing_on_call(monkeypatch, module, name, fail_at, exc):
 
 
 def test_failed_block_is_named_with_its_round(cfg, monkeypatch):
-    """A block that raises ends the run with the last accepted iterate and
-    an error naming the outer round and the block."""
+    """A call that raises ends the run with the last accepted iterate and
+    an error naming the iteration and the call."""
     with monkeypatch.context() as m:
-        calls = _failing_on_call(m, trajectory, "solve_subproblem", None,
-                                 None)
-        one_round = orchestrator.run_bcd(cfg, max_iters=1, tol=0.0)
-    calls_in_round_1 = len(calls)
+        subproblems = _failing_on_call(m, trajectory, "solve_subproblem",
+                                       None, None)
+        searches = _failing_on_call(m, beamform, "bsa_slots", None, None)
+        one_iter = orchestrator.run_bcd(cfg, max_iters=1, tol=0.0)
+    assert len(subproblems) == 1
+    plan0 = trajectory.initial_plan(cfg)
 
-    with monkeypatch.context() as m:
-        _failing_on_call(m, trajectory, "solve_subproblem",
-                         calls_in_round_1 + 1,
-                         trajectory.TrajectoryError("injected"))
-        trace = orchestrator.run_bcd(cfg, max_iters=3, tol=0.0)
-    assert trace.error == ("round 2, trajectory block: "
-                           "TrajectoryError: injected")
-    assert trace.objectives == one_round.objectives
-    assert np.array_equal(trace.plan.positions, one_round.plan.positions)
-    trace.plan.check_feasible(cfg)
-
-    with monkeypatch.context() as m:
-        _failing_on_call(m, beamform, "bsa_slots", 1,
-                         beamform.CovertBudgetError("injected"))
-        trace = orchestrator.run_bcd(cfg, max_iters=3, tol=0.0)
-    assert trace.error.startswith("round 1, beamformer block: "
-                                  "CovertBudgetError")
-    assert np.array_equal(trace.plan.positions,
-                          trajectory.initial_plan(cfg).positions)
-
-    for runner in (orchestrator.run_h0_benchmark, orchestrator.run_sotfb):
+    def run_failing(name, module, fail_at, exc, runner=orchestrator.run_bcd):
         with monkeypatch.context() as m:
-            _failing_on_call(m, trajectory, "solve_subproblem", 1,
-                             trajectory.TrajectoryError("injected"))
-            trace = runner(cfg, max_iters=3, tol=0.0)
+            _failing_on_call(m, module, name, fail_at, exc)
+            return runner(cfg, max_iters=3, tol=0.0)
+
+    # the subproblem of iteration 2, and the first power search after the
+    # searches of iteration 1: both keep iteration 1's plan and trace
+    for name, module, fail_at, exc, call in (
+            ("solve_subproblem", trajectory, 2,
+             trajectory.TrajectoryError("injected"), "trajectory block"),
+            ("bsa_slots", beamform, len(searches) + 1,
+             beamform.CovertBudgetError("injected"), "power search")):
+        trace = run_failing(name, module, fail_at, exc)
+        assert trace.error == (f"round 2, {call}: "
+                               f"{type(exc).__name__}: injected")
+        assert trace.objectives == one_iter.objectives
+        assert np.array_equal(trace.plan.positions, one_iter.plan.positions)
+        assert np.array_equal(trace.q_c, one_iter.q_c)
+        trace.plan.check_feasible(cfg, tol=1e-9)
+
+    # the power search at the starting plan: the starting plan, with the
+    # covert user silent
+    trace = run_failing("bsa_slots", beamform, 1,
+                        beamform.CovertBudgetError("injected"))
+    assert trace.error == ("round 1, power search: "
+                           "CovertBudgetError: injected")
+    assert np.array_equal(trace.plan.positions, plan0.positions)
+    assert np.all(trace.q_c == 0.0)
+    assert trace.objectives == [
+        trajectory.trajectory_objective(plan0, 0.0, cfg)]
+
+    for runner in (orchestrator.run_bcd, orchestrator.run_h0_benchmark,
+                   orchestrator.run_sotfb):
+        trace = run_failing("solve_subproblem", trajectory, 1,
+                            trajectory.TrajectoryError("injected"), runner)
         assert trace.error == ("round 1, trajectory block: "
                                "TrajectoryError: injected")
         assert len(trace.objectives) == 1
+        assert np.array_equal(trace.plan.positions, plan0.positions)
 
 
 def test_bcd_design_holds_the_secrecy_outage_cap(cfg, bcd_canonical):
@@ -142,10 +155,102 @@ def test_decision_table_equals_the_slot_by_slot_records(name):
                 [getattr(r, col) for r in rows], (run.__name__, col)
 
 
-def test_bcd_starts_from_silent_covert_user(cfg, bcd_canonical):
+def test_bcd_starts_at_the_searched_powers(cfg, bcd_canonical):
+    """objectives[0] is V of the starting plan: its mean rate at the
+    searched per-slot powers."""
     plan0 = trajectory.initial_plan(cfg)
-    base = trajectory.trajectory_objective(plan0, 0.0, cfg)
-    assert bcd_canonical.objectives[0] == pytest.approx(base, rel=1e-12)
+    q_star = beamform.bsa_slots(
+        cfg, channel.gains_for_positions(cfg, plan0.comm_positions)).q_c
+    assert bcd_canonical.objectives[0] == \
+        trajectory.trajectory_objective(plan0, q_star, cfg)
+
+
+def test_searched_value_gradient_is_the_linearization_at_the_best_powers(
+        cfg):
+    """V(mu) = mean over slots of max_q R_s(mu_s, q) has the slack
+    gradient of `linearize` at the searched powers (Danskin's theorem):
+    central differences of V, with q searched afresh at every point, match
+    its directional derivative along random slack directions. The search
+    is tightened so that its resolution does not blur the differences."""
+    tight = with_overrides(cfg, bsa_tol_rel=1e-10)
+    plan = trajectory.initial_plan(tight)
+    mu_b, mu_c = plan.mu_ba[:-1], plan.mu_ca[:-1]
+
+    def value(mb, mc):
+        gains = channel.gains_for_slacks(tight, mb, mc)
+        q = beamform.bsa_slots(tight, gains).q_c
+        return float(np.mean(trajectory.rate_of_mu(mb, mc, q, tight))), q
+
+    _, q_star = value(mu_b, mu_c)
+    lin = trajectory.linearize(plan, q_star, tight)
+    rng = np.random.default_rng(0)
+    step = 1e-4
+    for _ in range(8):
+        d_b = rng.standard_normal(mu_b.size) * mu_b
+        d_c = rng.standard_normal(mu_c.size) * mu_c
+        fd = (value(mu_b + step * d_b, mu_c + step * d_c)[0]
+              - value(mu_b - step * d_b, mu_c - step * d_c)[0]) / (2 * step)
+        analytic = float(np.mean(lin.d_ba * d_b + lin.d_ca * d_c))
+        assert fd == pytest.approx(analytic, rel=1e-5)
+
+
+# objective traces of the fixed-power runs, as float.hex: the joint run's
+# power rule must not reach them
+_FIXED_POWER_TRACES = {
+    ("paper_default", "run_sotfb"): [
+        "0x1.6d53b7621b8a4p-5", "0x1.064bbe7ca0ea9p-4",
+        "0x1.2795c442d3d64p-4", "0x1.31cb9d1bb85abp-4",
+        "0x1.3540487799737p-4", "0x1.3679cf26ae384p-4",
+        "0x1.36de4c10e0607p-4"],
+    ("paper_default", "run_h0_benchmark"): [
+        "0x1.f62ca9faf6718p-1", "0x1.fac959bbfbe57p-1",
+        "0x1.fb747c84d97e6p-1", "0x1.fbb1554da7bb9p-1",
+        "0x1.fbb3a48b01fadp-1"],
+    ("paper_t100", "run_sotfb"): [
+        "0x1.6d010357b746dp-5", "0x1.056f14192c828p-4",
+        "0x1.236cc0efa704dp-4", "0x1.2a01ee60445b2p-4",
+        "0x1.2bebb1ff28529p-4", "0x1.2c7bb7bfe3876p-4",
+        "0x1.2ca3209b06a0cp-4"],
+    ("paper_t100", "run_h0_benchmark"): [
+        "0x1.f62c8647bc1bdp-1", "0x1.fa6c7bb0d00bfp-1",
+        "0x1.faf11f77363c3p-1", "0x1.fb1956680784ep-1",
+        "0x1.fb195860dc4b4p-1"],
+}
+
+
+@pytest.mark.parametrize("name, runner", sorted(_FIXED_POWER_TRACES))
+def test_fixed_power_traces_are_pinned(name, runner):
+    trace = getattr(orchestrator, runner)(scenario.bundled_scenario(name))
+    assert [float.hex(x) for x in trace.objectives] == \
+        _FIXED_POWER_TRACES[name, runner]
+
+
+@pytest.mark.parametrize("name, floor", [
+    ("paper_default", 1.5075967140253015), ("paper_t100", 1.4801655272425613)])
+def test_joint_run_is_feasible_stationary_and_no_worse(name, floor):
+    """The joint run reaches at least the objective of the two-block
+    alternation it replaced (`floor`); each accepted plan, which the runs
+    cut after k iterations return, flies at 1e-9 and leaves a prefix of the
+    full trace; and one more power search plus one refinement step gains
+    less than bcd_tol."""
+    cfg = scenario.bundled_scenario(name)
+    trace = orchestrator.run_bcd(cfg)
+    assert trace.error is None and trace.converged
+    assert trace.objective >= floor
+    for k in range(1, trace.iterations + 1):
+        cut = orchestrator.run_bcd(cfg, max_iters=k)
+        cut.plan.check_feasible(cfg, tol=1e-9)
+        assert cut.objectives == trace.objectives[:len(cut.objectives)]
+
+    plan = trace.plan
+    obj = trajectory.trajectory_objective(plan, trace.q_c, cfg)
+    gains = channel.gains_for_positions(cfg, plan.comm_positions)
+    q_new = beamform.bsa_slots(cfg, gains).q_c
+    obj_b = trajectory.trajectory_objective(plan, q_new, cfg)
+    q, best = (q_new, obj_b) if obj_b >= obj else (trace.q_c, obj)
+    step = trajectory.sca_trajectory(plan, q, cfg, max_iters=1)
+    best = max(best, trajectory.trajectory_objective(step.plan, q, cfg))
+    assert best - obj < cfg.bcd_tol
 
 
 def test_bcd_is_reproducible(cfg):
