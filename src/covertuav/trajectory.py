@@ -17,10 +17,15 @@ for embedded systems", ECC 2013). It runs over the stacked per-slot states
 (position, velocity, acceleration) with the kinematics as equality rows, so
 its KKT system is banded and one iteration costs one O(N) band
 factorization (the layout of Wang & Boyd, "Fast Model Predictive Control
-Using Online Optimization", IEEE TCST 2010). The method starts from the
-reference plan's own states, feasible or not: the kinematic, pin and cone
-residuals ride in its right-hand side, and it stops only once the duality
-gap is closed and the states fly the kinematics onto the landing pins.
+Using Online Optimization", IEEE TCST 2010). As in ECOS, the band's pattern
+is built once per shape (slots, pins, slot length) and each iteration only
+refills its values, into one column-major buffer that LAPACK factors in
+place; the cone slacks and multipliers are stacked in one array, so the
+Nesterov-Todd scaling and the step-length searches run once over both. The
+method starts from the reference plan's own states, feasible or not: the
+kinematic, pin and cone residuals ride in its right-hand side, and it stops
+only once the duality gap is closed and the states fly the kinematics onto
+the landing pins.
 
 Conventions: a plan holds N+1 nodes (0..N). Node 0 is the launch point,
 node N the landing point; the drone communicates during slot n from node n
@@ -28,10 +33,10 @@ for n = 0..N-1. Accelerations are the controls, one per slot (stored at
 nodes 1..N; node 0 carries a zero placeholder).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channel, kernels
 from ._csvio import write_atomic_csv
@@ -95,8 +100,7 @@ class TrajectoryPlan:
     def dynamics_residual(self, cfg):
         """Largest kinematic mismatch (m and m/s) across all slots."""
         p, v, a = self.positions, self.velocities, self.accelerations
-        res = _kinematic_residual(p[1:], v[1:], a[1:], p[0], v[0],
-                                  cfg.delta_t)
+        res = _kinematic_residual(p, v, a, cfg.delta_t)
         return float(np.abs(res).max(initial=0.0))
 
     def check_feasible(self, cfg, tol=1e-6):
@@ -119,13 +123,19 @@ class TrajectoryPlan:
             raise TrajectoryError("slack below the squared distance it relaxes")
 
 
-def _kinematic_residual(p, v, a, l0, v0, dt):
+def _kinematic_residual(p, v, a, dt):
     """Rollout minus nodes, (N, 4): the position then the velocity mismatch
-    of the states (p, v, a) of nodes 1..N flown from node 0 at (l0, v0)."""
-    p_prev = np.vstack([l0, p[:-1]])
-    v_prev = np.vstack([v0, v[:-1]])
-    return np.hstack([p_prev + dt * v_prev + 0.5 * dt * dt * a - p,
-                      v_prev + dt * a - v])
+    of nodes 1..N, for the states (p, v, a) of nodes 0..N (a[0] is unused)."""
+    out = np.empty((len(p) - 1, 4))
+    pos, vel = out[:, :2], out[:, 2:]
+    np.multiply(v[:-1], dt, out=pos)
+    pos += p[:-1]
+    pos += 0.5 * dt * dt * a[1:]
+    pos -= p[1:]
+    np.multiply(a[1:], dt, out=vel)
+    vel += v[:-1]
+    vel -= v[1:]
+    return out
 
 
 def rebuild_from_accels(cfg, accels, v0, l0):
@@ -265,17 +275,20 @@ def linearize(plan_ref, q_c, cfg, h0=False):
 # ---------------------------------------------------------------------------
 # convex subproblem: concave quadratic objective over stacked per-slot states
 
+@functools.lru_cache(maxsize=4)
 def _kkt_band(n, n_pin, dt):
-    """Band layout of the stacked-state KKT matrix.
+    """Band layout of the stacked-state KKT matrix, built once per shape.
 
     Node k = 1..N owns rows 10(k-1) + 0..3, the multipliers of its
     kinematic rows p_k = p_{k-1} + dt v_{k-1} + dt^2/2 a_k and
     v_k = v_{k-1} + dt a_k, then rows 10(k-1) + 4..9, its state
-    (p_k, v_k, a_k); the n_pin rows pinning node N come last. Returns the
-    half-bandwidth h, the band storage holding the equality entries in
-    LAPACK's `dgbtrf` layout (entry (i, j) at row 2h + i - j; the top h
-    rows are room for the factor's fill) and the (row, col) band indices
-    of the three 2x2 Hessian blocks per node.
+    (p_k, v_k, a_k); the n_pin rows pinning node N come last. The band is
+    stored for LAPACK's `dgbtrf` column-major: entry (i, j) at row
+    2h + i - j of column j, in a (3h + 1)-row storage whose top h rows are
+    room for the factor's fill. Returns the half-bandwidth h, the flat
+    positions of the equality entries in that storage with their values
+    and the state row or column each one touches, and the flat positions
+    of the three 2x2 Hessian blocks per node, (N, 3, 2, 2); all read-only.
     """
     node = 10 * np.arange(n)
     rows, cols, vals = [], [], []
@@ -299,38 +312,51 @@ def _kkt_band(n, n_pin, dt):
                 np.array([10 * (n - 1) + 4 + 2 * (pin // 2) + d]), 1.0)
     r, c, val = (np.concatenate(x) for x in (rows, cols, vals))
     half = int(np.max(np.abs(r - c)))
-    band = np.zeros((3 * half + 1, 10 * n + n_pin))
-    band[2 * half + r - c, c] = val
-    band[2 * half + c - r, r] = val
+    ldab = 3 * half + 1
+    # each equality entry (r, c), state column c, and its mirror (c, r)
+    eq_flat = np.concatenate([2 * half + r - c + c * ldab,
+                              2 * half + c - r + r * ldab])
+    eq_val = np.concatenate([val, val])
+    eq_state = np.concatenate([c, c])
     d1 = np.array([[0, 0], [1, 1]])
     h_rows = 2 * half + d1 - d1.T
     h_cols = node[:, None, None, None] + 4 + 2 * np.arange(3)[:, None, None] \
         + d1.T
-    return half, band, (np.broadcast_to(h_rows, h_cols.shape), h_cols)
+    h_flat = h_rows + h_cols * ldab
+    for arr in (eq_flat, eq_val, eq_state, h_flat):
+        arr.setflags(write=False)
+    return half, (eq_flat, eq_val, eq_state), h_flat
 
 
 # second-order cone algebra on rows u = (u0, u1) of (m, 3) arrays, for the
 # cones {u0 >= |u1|}: Jordan product u o v = (u.v, u0 v1 + v0 u1), identity
-# e = (1, 0, 0)
+# e = (1, 0, 0). Row sums are written as column sums, ((a0 + a1) + a2):
+# np.sum(..., axis=1) adds a row of two or three in that order, at many
+# times the cost.
 
 def _soc_det(u):
     """u0^2 - |u1|^2, factored to keep its digits near the boundary."""
-    r = np.sqrt(np.sum(u[:, 1:] ** 2, axis=1))
+    sq = u[:, 1:] * u[:, 1:]
+    r = np.sqrt(sq[:, 0] + sq[:, 1])
     return (u[:, 0] - r) * (u[:, 0] + r)
 
 
 def _soc_mul(u, v):
-    out = u[:, :1] * v + v[:, :1] * u
-    out[:, 0] = np.sum(u * v, axis=1)
+    prod = u * v
+    out = np.empty_like(prod)
+    out[:, 0] = prod[:, 0] + prod[:, 1] + prod[:, 2]
+    out[:, 1:] = u[:, :1] * v[:, 1:] + v[:, :1] * u[:, 1:]
     return out
 
 
 def _soc_div(lam, v):
     """The u with lam o u = v."""
-    u0 = (lam[:, 0] * v[:, 0] - np.sum(lam[:, 1:] * v[:, 1:], axis=1)) \
-        / _soc_det(lam)
-    return np.column_stack([u0, (v[:, 1:] - u0[:, None] * lam[:, 1:])
-                            / lam[:, :1]])
+    prod = lam * v
+    out = np.empty_like(prod)
+    u0 = out[:, 0]
+    np.divide(prod[:, 0] - (prod[:, 1] + prod[:, 2]), _soc_det(lam), out=u0)
+    out[:, 1:] = (v[:, 1:] - u0[:, None] * lam[:, 1:]) / lam[:, :1]
+    return out
 
 
 def _apply(mat, u):
@@ -338,52 +364,66 @@ def _apply(mat, u):
     return np.einsum("kij,kj->ki", mat, u)
 
 
-def _nt_scaling(s, z):
-    """Nesterov-Todd scaling of interior pairs (s, z): the matrices W and
-    W^-1 with W z = W^-1 s, and the lower right 2x2 block of W^-2.
+def _nt_scaling(sz, det, ws):
+    """Nesterov-Todd scaling of the interior pairs (s, z), stacked as s
+    above z in sz with det = `_soc_det(sz)`: writes W^-1 above W into ws,
+    with W z = W^-1 s, and returns the lower right 2x2 block of W^-2.
     W = eta [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]] with w0^2 - |w1|^2 = 1,
     W^-1 = J W J / eta^2 with J = diag(1, -1, -1), and the block of W^-2 is
     (I + 2 w1 w1') / eta^2."""
-    s_norm = np.sqrt(_soc_det(s))
-    z_norm = np.sqrt(_soc_det(z))
-    s_bar = s / s_norm[:, None]
-    z_bar = z / z_norm[:, None]
-    gamma = np.sqrt(0.5 * (1.0 + np.sum(s_bar * z_bar, axis=1)))
+    m = len(sz) // 2
+    norm = np.sqrt(det)
+    bar = sz / norm[:, None]
+    s_bar, z_bar = bar[:m], bar[m:]
+    prod = s_bar * z_bar
+    gamma = np.sqrt(0.5 * (1.0 + (prod[:, 0] + prod[:, 1] + prod[:, 2])))
     w = s_bar - z_bar
     w[:, 0] = s_bar[:, 0] + z_bar[:, 0]
     w /= 2.0 * gamma[:, None]
-    w1 = w[:, 1:]
-    mat = np.empty((len(w), 3, 3))
+    w1, x0, x1 = w[:, 1:], w[:, 1], w[:, 2]
+    # W / eta into the W^-1 slot, entry by entry, the identity's zeros too
+    mat = ws[:m]
     mat[:, 0] = w
     mat[:, 1:, 0] = w1
-    mat[:, 1:, 1:] = np.eye(2) + w1[:, :, None] * w1[:, None, :] \
-        / (1.0 + w[:, 0])[:, None, None]
-    eta = np.sqrt(s_norm / z_norm)[:, None, None]
-    w_mat = eta * mat
+    d = 1.0 + w[:, 0]
+    mat[:, 1, 1] = 1.0 + x0 * x0 / d
+    mat[:, 1, 2] = mat[:, 2, 1] = 0.0 + x0 * x1 / d
+    mat[:, 2, 2] = 1.0 + x1 * x1 / d
+    eta = np.sqrt(norm[:m] / norm[m:])
+    np.multiply(eta[:, None, None], mat, out=ws[m:])
     mat[:, 0, 1:] *= -1.0
     mat[:, 1:, 0] *= -1.0
-    block = (np.eye(2) + 2.0 * w1[:, :, None] * w1[:, None, :]) / eta ** 2
-    return w_mat, mat / eta, block
+    mat /= eta[:, None, None]
+    eta2 = eta * eta
+    block = np.empty((m, 2, 2))
+    block[:, 0, 0] = (1.0 + 2.0 * x0 * x0) / eta2
+    block[:, 0, 1] = (0.0 + 2.0 * x0 * x1) / eta2
+    block[:, 1, 0] = (0.0 + 2.0 * x1 * x0) / eta2
+    block[:, 1, 1] = (1.0 + 2.0 * x1 * x1) / eta2
+    return block
 
 
-def _soc_step(u, du):
-    """Largest t with u + t du in the cone, for interior rows u: the first
-    positive root of (u0 + t du0)^2 - |u1 + t du1|^2, or inf."""
-    qa = du[:, 0] ** 2 - np.sum(du[:, 1:] ** 2, axis=1)
-    qb = 2.0 * (u[:, 0] * du[:, 0] - np.sum(u[:, 1:] * du[:, 1:], axis=1))
-    qc = _soc_det(u)
-    disc = qb * qb - 4.0 * qa * qc
-    real = disc >= 0
+def _soc_step(u, du, det):
+    """Largest t with u + t du in the cone, for interior rows u with
+    det = `_soc_det(u)`: the first positive root of
+    (u0 + t du0)^2 - |u1 + t du1|^2, or inf."""
+    sq = du * du
+    qa = sq[:, 0] - (sq[:, 1] + sq[:, 2])
+    prod = u * du
+    qb = 2.0 * (prod[:, 0] - (prod[:, 1] + prod[:, 2]))
+    disc = qb * qb - 4.0 * qa * det
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
-        roots = np.concatenate([(q / qa)[real], (qc / q)[real]])
-    return float(np.min(roots[roots > 0], initial=np.inf))
+        roots = np.stack([q / qa, det / q])
+        ahead = (disc >= 0) & (roots > 0)
+    return float(np.min(roots, where=ahead, initial=np.inf))
 
 
 def _ray_step(u, du):
     """Largest t with u + t du >= 0, for positive u."""
-    neg = du < 0
-    return float(np.min(-u[neg] / du[neg], initial=np.inf))
+    with np.errstate(divide="ignore"):
+        roots = -u / du
+    return float(np.min(roots, where=du < 0, initial=np.inf))
 
 
 # iteration cap of the interior-point method, about three times the most
@@ -413,14 +453,19 @@ def solve_subproblem(lin, plan_ref, cfg):
     systems" (ECC 2013). It runs over the stacked per-slot states
     (p_k, v_k, a_k) with the kinematics as equality rows, so the KKT matrix
     is banded: each iteration factors it once in O(N) and reuses the factor
-    for the predictor and the corrector solve. The primal start is the
-    reference plan's own states and the slacks start a tenth inside the
-    cones; the kinematic, pin and cone residuals ride in the right-hand
-    side, so the start need be neither feasible nor interior. Converged
-    once the duality gap is <= 1e-7 relative, the cone residuals are
-    closed and the kinematic and pin residuals are <= 1e-9 (m, m/s).
-    Raises TrajectoryError when the iteration cap is reached. The returned
-    plan is the exact rollout of the solution's accelerations.
+    for the predictor and the corrector solve. As in ECOS, the pattern is
+    fixed and only the values change: the band layout is built once per
+    (N, pins, dt), and each iteration refills one column-major band buffer,
+    which LAPACK factors in place. The cone slacks s and multipliers z are
+    kept stacked, s above z, so that the Nesterov-Todd scaling and both
+    step-length searches share one cone determinant per iteration. The
+    primal start is the reference plan's own states and the slacks start a
+    tenth inside the cones; the kinematic, pin and cone residuals ride in
+    the right-hand side, so the start need be neither feasible nor
+    interior. Converged once the duality gap is <= 1e-7 relative, the cone
+    residuals are closed and the kinematic and pin residuals are <= 1e-9
+    (m, m/s). Raises TrajectoryError when the iteration cap is reached. The
+    returned plan is the exact rollout of the solution's accelerations.
     """
     # imported here, so that only planning runs pay for scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -452,103 +497,131 @@ def solve_subproblem(lin, plan_ref, cfg):
                    + w_pos[1, :, None] * (ref_l - points[1]))
     hess_p = 2.0 * (w_neg[0] + w_neg[1])             # f's curvature on p_k
 
-    def f_obj(p):
-        return float(np.sum(slope * (p - base_l))
-                     + w_neg[0] @ np.sum((p - points[0]) ** 2, axis=1)
-                     + w_neg[1] @ np.sum((p - points[1]) ** 2, axis=1))
+    def objective(p):
+        """The objective f at positions p and its gradient in p."""
+        off = p - points[:, None]                    # (2, N, 2): to l_b, l_c
+        sq = off * off
+        dist = sq[:, :, 0] + sq[:, :, 1]
+        f = float(np.sum(slope * (p - base_l)) + w_neg[0] @ dist[0]
+                  + w_neg[1] @ dist[1])
+        wo = w_neg[:, :, None] * off
+        return f, slope + 2.0 * (wo[0] + wo[1])
 
-    def grad_f(p):
-        return slope + 2.0 * (w_neg[0, :, None] * (p - points[0])
-                              + w_neg[1, :, None] * (p - points[1]))
-
-    # primal start: the reference plan's states, feasible or not
-    state = np.hstack([plan_ref.positions[1:], plan_ref.velocities[1:],
-                       plan_ref.accelerations[1:]])  # (N, 6): p, v, a
+    # primal start: the reference plan's states, feasible or not, one row
+    # per node; row 0 holds the launch state (a placeholder acceleration)
+    nodes = np.hstack([plan_ref.positions, plan_ref.velocities,
+                       plan_ref.accelerations])
+    state = nodes[1:]                                # (N, 6): p, v, a
+    p, v = state[:, :2], state[:, 2:4]
     # the terminal node skips the speed cone when its speed is pinned
     box = n - 1 if pin_speed else n
     vr_box = vr[:box]
-    vr_sq = np.sum(vr_box ** 2, axis=1)
+    vr_sq = vr_box[:, 0] ** 2 + vr_box[:, 1] ** 2
+    vr2 = 2.0 * vr_box
 
     # the cone rows s = h - G x over the states x: second-order rows
     # 0..box-1 are (v_max, v_k), rows box.. are (a_max, a_k); the slack rows
     # are 2 vr.v_k - |vr|^2 - v_min^2, with cone multipliers z
-    h_soc = np.zeros((box + n, 3))
+    m = box + n
+    h_soc = np.zeros((m, 3))
     h_soc[:box, 0] = cfg.v_max
     h_soc[box:, 0] = cfg.a_max
     h_lin = -vr_sq - cfg.v_min ** 2
+    g_soc = np.zeros((m, 3))
+    g_lin = np.empty(box)
 
     def lift(st):
-        """-G st: the states' image on the cone rows."""
-        soc = np.zeros((box + n, 3))
-        soc[:box, 1:] = st[:box, 2:4]
-        soc[box:, 1:] = st[:, 4:]
-        return soc, 2.0 * np.sum(vr_box * st[:box, 2:4], axis=1)
-
-    def lift_t(soc, lin_rows):
-        """-G^T of cone-row values, as (N, 6) state rows."""
-        out = np.zeros((n, 6))
-        out[:box, 2:4] = soc[:box, 1:] + 2.0 * vr_box * lin_rows[:, None]
-        out[:, 4:] = soc[box:, 1:]
-        return out
+        """-G st, into (g_soc, g_lin): the states' image on the cone rows."""
+        g_soc[:box, 1:] = st[:box, 2:4]
+        g_soc[box:, 1:] = st[:, 4:]
+        prod = vr_box * st[:box, 2:4]
+        np.multiply(prod[:, 0] + prod[:, 1], 2.0, out=g_lin)
 
     n_pin = 4 if pin_speed else 2
-    half, band0, h_index = _kkt_band(n, n_pin, dt)
+    half, (eq_flat, eq_val, eq_state), h_flat = _kkt_band(n, n_pin, dt)
     dim = 10 * n + n_pin
-    scale_pad = np.ones(dim + 2 * half)
-    # band entry (k, j) below the fill rows sits in matrix row j + k - half:
-    # its row's scale
-    row_scale = sliding_window_view(scale_pad, dim)
+    # the band in column-major order is the row-major kkt, which LAPACK
+    # factors in place
+    kkt = np.empty((dim, 3 * half + 1))
+    band = kkt.T
+    kkt_flat = kkt.reshape(-1)
+    # symmetric scaling by the Hessian diagonal keeps the kinematic and pin
+    # rows exact to roundoff once the cone curvature grows large; the
+    # multiplier rows, whose diagonal is zero, keep scale 1
+    scale = np.ones(dim)
+    state_scale = scale[:10 * n].reshape(n, 10)[:, 4:].reshape(n, 3, 2)
 
     def factor(hess):
-        band = band0.copy()
-        band[h_index] = hess
-        # symmetric scaling by the Hessian diagonal keeps the kinematic and
-        # pin rows exact to roundoff once the cone curvature grows large
-        scale = 1.0 / np.sqrt(np.maximum(np.abs(band[2 * half]), 1.0))
-        scale_pad[half:half + dim] = scale
-        band[half:] *= scale * row_scale
+        np.abs(np.diagonal(hess, axis1=2, axis2=3), out=state_scale)
+        np.maximum(state_scale, 1.0, out=state_scale)
+        np.sqrt(state_scale, out=state_scale)
+        np.divide(1.0, state_scale, out=state_scale)
+        kkt.fill(0.0)
+        kkt_flat[eq_flat] = eq_val * scale[eq_state]
+        kkt_flat[h_flat] = hess * (state_scale[:, :, :, None]
+                                   * state_scale[:, :, None, :])
         lu, piv, info = dgbtrf(band, half, half, overwrite_ab=True)
-        return (lu, piv, scale) if info == 0 else None
+        return (lu, piv) if info == 0 else None
 
-    rhs = np.empty(dim)
+    rhs = np.zeros(dim)
     rhs_nodes = rhs[:10 * n].reshape(n, 10)
     pin_rhs = rhs[10 * n:]
-    eye = np.eye(2)
+    rhs_v, rhs_a = rhs_nodes[:box, 6:8], rhs_nodes[:, 8:]
 
+    # the slacks s and the multipliers z, stacked: s above z
+    sz = np.empty((2 * m, 3))
+    lz = np.empty(2 * box)
+    s_soc, z_soc = sz[:m], sz[m:]
+    s_lin, z_lin = lz[:box], lz[box:]
     # the slacks start a tenth of their offset h inside the cones: the
     # states may start on a cap the reference plan touches, and the cone
     # residual this opens closes with every step
-    s_soc, s_lin = lift(state)
-    s_soc += h_soc
-    s_lin += h_lin
-    s_soc[:, 0] = np.maximum(s_soc[:, 0], np.sqrt(np.sum(s_soc[:, 1:] ** 2,
-                                                         axis=1))
+    lift(state)
+    np.add(g_soc, h_soc, out=s_soc)
+    np.add(g_lin, h_lin, out=s_lin)
+    sq = s_soc[:, 1:] ** 2
+    s_soc[:, 0] = np.maximum(s_soc[:, 0], np.sqrt(sq[:, 0] + sq[:, 1])
                              + 0.1 * h_soc[:, 0])
-    s_lin = np.maximum(s_lin, -0.1 * h_lin)
+    np.maximum(s_lin, -0.1 * h_lin, out=s_lin)
     # dual start on the central path, z = mu0 s^-1, with the initial gap
     # m mu0 = max(1, |f0|) / 10 capped at m
     m_cone = 2 * box + n
-    mu0 = min(1.0, 0.1 * max(1.0, abs(f_obj(state[:, :2]))) / m_cone)
-    z_soc = mu0 * s_soc / _soc_det(s_soc)[:, None]
+    mu0 = min(1.0, 0.1 * max(1.0, abs(objective(p)[0])) / m_cone)
+    np.divide(mu0 * s_soc, _soc_det(s_soc)[:, None], out=z_soc)
     z_soc[:, 1:] *= -1.0
-    z_lin = mu0 / s_lin
+    np.divide(mu0, s_lin, out=z_lin)
+
+    # per-iteration work arrays: the Newton step's (ds, dz) stacked like
+    # (s, z), W^-1 above W, the Hessian blocks
+    dsz = np.empty((2 * m, 3))
+    dlz = np.empty(2 * box)
+    ws = np.empty((2 * m, 3, 3))
+    w_inv, w_mat = ws[:m], ws[m:]
+    hess = np.zeros((n, 3, 2, 2))
+    hess[:, 0] = (-hess_p)[:, None, None] * np.eye(2)
+
+    def w_inv2(u):
+        # W^-1 twice: the product matrix W^-2 loses the digits of vectors
+        # that W^-1 shrinks once the cones get thin
+        return _apply(w_inv, _apply(w_inv, u))
 
     for it in range(_IP_MAX_ITERS + 1):
-        p, v, a = state[:, :2], state[:, 2:4], state[:, 4:]
         # the kinematic and pin residuals ride along in the right-hand side
         # (infeasible-start Newton), so solve errors cannot accumulate into
         # a missed landing point; the cone rows carry theirs likewise
-        rhs_nodes[:, :4] = _kinematic_residual(p, v, a, l0, v0, dt)
+        rhs_nodes[:, :4] = _kinematic_residual(nodes[:, :2], nodes[:, 2:4],
+                                               nodes[:, 4:], dt)
         pin_rhs[:2] = l_end - p[-1]
         if pin_speed:
             pin_rhs[2:] = v_target - v[-1]
-        g_soc, g_lin = lift(state)
+        lift(state)
         r_soc = s_soc - h_soc - g_soc
         r_lin = s_lin - h_lin - g_lin
         gap = float(np.sum(s_soc * z_soc) + s_lin @ z_lin)
+        f, grad = objective(p)
         # converged once the gap is closed, the cone rows hold, and the
         # states fly the kinematics and land on the pins (m, m/s)
-        if gap <= 1e-7 * max(1.0, abs(f_obj(p))) \
+        if gap <= 1e-7 * max(1.0, abs(f)) \
                 and np.all(np.abs(r_soc) <= 1e-12 * h_soc[:, :1]) \
                 and np.all(np.abs(r_lin) <= -1e-12 * h_lin) \
                 and np.all(np.abs(rhs_nodes[:, :4]) <= 1e-9) \
@@ -559,73 +632,76 @@ def solve_subproblem(lin, plan_ref, cfg):
                 f"subproblem stopped at its iteration cap: {it} "
                 f"interior-point iterations left a duality gap of {gap:.3g}")
 
-        w_mat, w_inv, block = _nt_scaling(s_soc, z_soc)
+        det = _soc_det(sz)
+        block = _nt_scaling(sz, det, ws)
         lam_soc = _apply(w_mat, z_soc)
         d_lin = z_lin / s_lin                        # W^-2 on the slack rows
 
-        def w_inv2(u):
-            # W^-1 twice: the product matrix W^-2 loses the digits of
-            # vectors that W^-1 shrinks once the cones get thin
-            return _apply(w_inv, _apply(w_inv, u))
-
         # H = P + G^T W^-2 G: the scaled cone term (I + 2 w1 w1')/eta^2 on
         # each v and a block, the slack's 4 (z/s) vr vr' on v
-        hess = np.zeros((n, 3, 2, 2))
-        hess[:, 0] = (-hess_p)[:, None, None] * eye
         hess[:box, 1] = block[:box] + 4.0 * d_lin[:, None, None] \
             * vr_box[:, :, None] * vr_box[:, None, :]
         hess[:, 2] = block[box:]
         lu = factor(hess)
         if lu is None:
-            diag = hess[:, :, [0, 1], [0, 1]]
-            hess[:, :, [0, 1], [0, 1]] += 1e-10 * diag.sum() / (6 * n)
-            lu = factor(hess)
+            # regularize a copy: the next iteration refills only the cone
+            # blocks of hess
+            hess_reg = hess.copy()
+            diag = hess_reg[:, :, [0, 1], [0, 1]]
+            hess_reg[:, :, [0, 1], [0, 1]] += 1e-10 * diag.sum() / (6 * n)
+            lu = factor(hess_reg)
             if lu is None:
                 raise np.linalg.LinAlgError(
                     "singular KKT matrix in the trajectory subproblem")
-        lu, piv, scale = lu
+        lu, piv = lu
 
-        grad = grad_f(p)
+        # the p rows of the right-hand side hold 0.0 + grad: a zero gradient
+        # entry enters the solve as +0.0 whatever its sign
+        rhs_nodes[:, 4:6] = 0.0
+        rhs_nodes[:, 4:6] += grad
 
-        def direction(t_soc, t_lin):
-            """Newton step (dx, ds_soc, ds_lin, dz_soc, dz_lin) whose cone
-            rows read G dx - W^T W dz = q = -r - t. The equality
+        def direction(u_soc, u_lin):
+            """Newton step whose cone rows read G dx - W^T W dz = q = u - r:
+            writes (ds, dz) into dsz and dlz and returns dx. The equality
             multipliers are solved for whole, not as a step, so the method
             needs no iterate of them."""
-            q_soc, q_lin = -r_soc - t_soc, -r_lin - t_lin
-            rhs_nodes[:, 4:] = lift_t(z_soc - w_inv2(q_soc),
-                                      z_lin - d_lin * q_lin)
-            rhs_nodes[:, 4:6] += grad
-            sol = scale * dgbtrs(lu, half, half, scale * rhs, piv)[0]
-            dx = sol[:10 * n].reshape(n, 10)[:, 4:]
-            g_soc, g_lin = lift(dx)
-            return (dx, g_soc - r_soc, g_lin - r_lin,
-                    w_inv2(-g_soc - q_soc), d_lin * (-g_lin - q_lin))
+            q_soc, q_lin = u_soc - r_soc, u_lin - r_lin
+            # -G^T (z - W^-2 q) on the v and a rows
+            t_soc = z_soc - w_inv2(q_soc)
+            t_lin = z_lin - d_lin * q_lin
+            rhs_v[...] = t_soc[:box, 1:] + vr2 * t_lin[:, None]
+            rhs_a[...] = t_soc[box:, 1:]
+            x = dgbtrs(lu, half, half, scale * rhs, piv, overwrite_b=True)[0]
+            x *= scale
+            dx = x[:10 * n].reshape(n, 10)[:, 4:]
+            lift(dx)
+            dsz[:m] = g_soc - r_soc
+            dsz[m:] = w_inv2(-g_soc - q_soc)
+            dlz[:box] = g_lin - r_lin
+            dlz[box:] = d_lin * (-g_lin - q_lin)
+            return dx
 
-        sz_soc = np.concatenate([s_soc, z_soc])
-        sz_lin = np.concatenate([s_lin, z_lin])
+        def max_step():
+            return min(_soc_step(sz, dsz, det), _ray_step(lz, dlz))
 
-        def max_step(d):
-            return min(_soc_step(sz_soc, np.concatenate([d[1], d[3]])),
-                       _ray_step(sz_lin, np.concatenate([d[2], d[4]])))
-
-        # predictor: the affine-scaling direction (t = -s); its reach sets
+        # predictor: the affine-scaling direction (u = s); its reach sets
         # the centring weight sigma
-        aff = direction(-s_soc, -s_lin)
-        sigma = (1.0 - min(1.0, max_step(aff))) ** 3
+        direction(s_soc, s_lin)
+        sigma = (1.0 - min(1.0, max_step())) ** 3
         mu = gap / m_cone
-        # corrector: t = W^T (lam \ (lam o lam + W^-T ds_aff o W dz_aff
+        # corrector: u = W (lam \ (lam o lam + W^-T ds_aff o W dz_aff
         # - sigma mu e)), the slack rows likewise
-        cor_soc = _soc_mul(lam_soc, lam_soc) + _soc_mul(
-            _apply(w_inv, aff[1]), _apply(w_mat, aff[3]))
+        scaled = _apply(ws, dsz)                     # W^-1 ds over W dz
+        cor_soc = _soc_mul(lam_soc, lam_soc) + _soc_mul(scaled[:m],
+                                                        scaled[m:])
         cor_soc[:, 0] -= sigma * mu
-        cor_lin = s_lin * z_lin + aff[2] * aff[4] - sigma * mu
-        d = direction(-_apply(w_mat, _soc_div(lam_soc, cor_soc)),
-                      -cor_lin / z_lin)
-        step = min(1.0, 0.99 * max_step(d))
-        state, s_soc, s_lin, z_soc, z_lin = (
-            u + step * du for u, du in
-            zip((state, s_soc, s_lin, z_soc, z_lin), d))
+        cor_lin = s_lin * z_lin + dlz[:box] * dlz[box:] - sigma * mu
+        dx = direction(_apply(w_mat, _soc_div(lam_soc, cor_soc)),
+                       cor_lin / z_lin)
+        step = min(1.0, 0.99 * max_step())
+        for u, du in ((state, dx), (sz, dsz), (lz, dlz)):
+            du *= step
+            u += du
 
     return rebuild_from_accels(cfg, state[:, 4:], v0, l0)
 

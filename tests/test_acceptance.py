@@ -219,7 +219,7 @@ def test_criterion_07_linearization_matches_finite_differences(cfg):
                    f"{worst:.2e}")
 
 
-def test_criterion_08_alternating_loop_converges(cfg, bcd130):
+def test_criterion_08_joint_loop_converges(cfg, bcd130):
     trace, elapsed = bcd130
     obj = np.asarray(trace.objectives)
     monotone = bool(np.all(np.diff(obj) >= 0))

@@ -225,6 +225,20 @@ def test_fixed_power_traces_are_pinned(name, runner):
         _FIXED_POWER_TRACES[name, runner]
 
 
+def test_free_terminal_speed_trace_is_pinned():
+    """The bundled scenarios pin the terminal speed; with it free, every
+    node carries a speed cone and only the landing point is pinned. The
+    pinned-power run's objective trace, as float.hex."""
+    cfg = with_overrides(scenario.bundled_scenario(), v_end=None)
+    trace = orchestrator.run_sotfb(cfg)
+    assert trace.error is None
+    assert [float.hex(x) for x in trace.objectives] == [
+        "0x1.6d53b7621b8a4p-5", "0x1.0690ba21506c4p-4",
+        "0x1.283468fc7fa3ap-4", "0x1.325efb86eadd1p-4",
+        "0x1.35d2beb9800eap-4", "0x1.370a6bf180d08p-4",
+        "0x1.37700ec61e9e8p-4"]
+
+
 @pytest.mark.parametrize("name, floor", [
     ("paper_default", 1.5075967140253015), ("paper_t100", 1.4801655272425613)])
 def test_joint_run_is_feasible_stationary_and_no_worse(name, floor):

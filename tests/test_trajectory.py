@@ -563,6 +563,80 @@ def test_subproblem_iteration_cap_is_an_error(monkeypatch):
     assert not trace.converged
 
 
+def _report_singular(monkeypatch, singular):
+    """Make `dgbtrf` factor as usual but report info = 1 on the calls k
+    (from 0) where singular(k) holds; returns the list of calls."""
+    calls = []
+    real = scipy.linalg.lapack.dgbtrf
+
+    def dgbtrf(*args, **kwargs):
+        lu, piv, info = real(*args, **kwargs)
+        calls.append(None)
+        return lu, piv, 1 if singular(len(calls) - 1) else info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", dgbtrf)
+    return calls
+
+
+# accelerations (x, y per slot) of the pinned six-slot solve whose third
+# factorization reports a singular KKT matrix, as float.hex
+_REGULARIZED_ACCELS = [
+    "-0x1.7fffe5c1c2f1bp-2", "0x1.7e42ee3a7b5f9p+1", "0x1.3c4b0415a68afp-1",
+    "-0x1.b6462d3f1380fp+2", "-0x1.3c4b109dcc462p-1", "0x1.dbc6c3bc45b90p+2",
+    "0x1.cd2c25bd57c00p-24", "-0x1.78969014ee649p+2", "0x1.41da6c5940b5dp+0",
+    "0x1.ed28d97c94cc9p+0", "-0x1.c3b4dce3d2830p-1", "0x1.8aa4c1b5949a3p-2"]
+
+
+def test_singular_kkt_is_regularized_for_one_iteration(monkeypatch):
+    """A factorization that reports a singular KKT matrix is retried once
+    with the Hessian diagonal raised by 1e-10 of its mean. The raise does
+    not carry into later iterations: the solve takes one factorization
+    more than the six it needs unperturbed, its plan is feasible, and its
+    accelerations are pinned bit for bit."""
+    cfg, plan, lin = _six_slot_case(4.0)
+    calls = _report_singular(monkeypatch, lambda k: k == 2)
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    assert len(calls) == 7
+    assert [float.hex(x) for x in sol.accelerations[1:].ravel()] == \
+        _REGULARIZED_ACCELS
+
+
+def test_singular_kkt_after_regularizing_is_an_error(monkeypatch):
+    """A KKT matrix that stays singular after the regularized retry raises
+    LinAlgError, and the joint run reports it as a failed trajectory
+    block."""
+    cfg, plan, lin = _six_slot_case(4.0)
+    _report_singular(monkeypatch, lambda k: True)
+    message = "singular KKT matrix in the trajectory subproblem"
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+        trajectory.solve_subproblem(lin, plan, cfg)
+    trace = orchestrator.run_bcd(cfg, max_iters=3)
+    assert trace.error == f"round 1, trajectory block: LinAlgError: {message}"
+    assert not trace.converged
+
+
+def test_free_terminal_speed_subproblem_is_pinned():
+    """260 slots with the terminal speed free, so two pin rows and a speed
+    cone on every node, the last one binding: the solve's model value, its
+    first, middle and last accelerations and its terminal speed, as
+    float.hex."""
+    cfg = with_overrides(bundled_scenario(), n_slots=260, t_s=260.0,
+                         v_end=None)
+    plan = trajectory.initial_plan(cfg)
+    lin = trajectory.linearize(plan, Q_STAR, cfg)
+    sol = trajectory.solve_subproblem(lin, plan, cfg)
+    sol.check_feasible(cfg)
+    assert float.hex(lin.value(sol.mu_ba[:-1], sol.mu_ca[:-1])) == \
+        "0x1.3159c61bad030p+0"
+    assert [float.hex(x) for x in sol.accelerations[[1, 130, 260]].ravel()] \
+        == ["0x1.c388fc18d08bcp+2", "0x1.c58f2bb002a14p+2",
+            "-0x1.b45ca4063859bp-9", "0x1.aa165b83a797bp-9",
+            "0x1.41bfc4dca2970p-7", "-0x1.28df65e4427adp-7"]
+    assert float.hex(float(np.linalg.norm(sol.velocities[-1]))) == \
+        "0x1.3ffffe20903b5p+4"
+
+
 # -- successive refinement -------------------------------------------------------
 
 @pytest.fixture(scope="module")
