@@ -7,8 +7,10 @@ covert-silent benchmark. `h1_slot` is the covert-active model and
 `h0_slot` the covert-silent one; both broadcast over arrays of slots.
 Their one input is a `SlotEnv` record, which also holds the
 received-power coupling; `slot_env` builds it from a scenario and a gain
-table. The closed forms in `secmetrics` (`scp_h1`, `ccp`, ...) stay the
-reference the Monte Carlo oracle and the tests compare against.
+table. The connection probabilities and the covert-link tail are the
+closed forms of `secmetrics` (`scp_h1`, `ccp`, `scp_h0`), evaluated
+through their unchecked cores, so the formulas that `validate` and the
+Monte Carlo oracle check are the ones the planner runs.
 
 `radiometer_statistic` is the per-trial statistic of the detection Monte
 Carlo; random draws happen outside it.
@@ -50,12 +52,20 @@ class SlotEnv:
     q_c_max: float
     sigma_a2: float
     sigma_w2: float
-    gamma_t: float
-    gamma_c: float
     eta_s: float     # secrecy outage cap
     kappa: float
     r_t: float
     r_c: float
+
+    @property
+    def gamma_t(self):
+        """SNR threshold 2^r_t - 1 of the secret stream."""
+        return 2.0 ** self.r_t - 1.0
+
+    @property
+    def gamma_c(self):
+        """SNR threshold 2^r_c - 1 of the covert stream."""
+        return 2.0 ** self.r_c - 1.0
 
     @property
     def budget(self):
@@ -117,8 +127,7 @@ def slot_env(cfg, gains, slot=None):
     return SlotEnv(
         c_ba=c_ba, c_ca=c_ca, c_cw=float(gains.g_cw), g_bw=float(gains.g_bw),
         q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
-        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w,
-        gamma_t=cfg.gamma_t, gamma_c=cfg.gamma_c, eta_s=cfg.eta_s,
+        sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w, eta_s=cfg.eta_s,
         kappa=cfg.kappa, r_t=float(cfg.r_t), r_c=float(cfg.r_c))
 
 
@@ -149,8 +158,9 @@ def h1_slot(q_c, env, chain=None):
     user's budget q_b_max*g_bw, which fixes the secret power q_b and the
     redundancy rate holding the secrecy outage at eta_s
     (`secmetrics.secrecy_redundancy`). The secret stream connects with
-    probability scp over the faded covert interference; the covert stream
-    also needs its own link to clear gamma_c. The rate is
+    probability scp over the faded covert interference (`secmetrics.scp_h1`);
+    the covert stream also needs its own link to clear gamma_c, so it
+    connects with scp*tail (`secmetrics.ccp`). The rate is
     kappa*scp*r_s + (1-kappa)*scp*tail*r_c. q_c may be a per-slot array
     that broadcasts with the gains of the `SlotEnv` env. Cover beyond the
     budget is not masked here (`slot_rate_curve` does that).
@@ -168,27 +178,17 @@ def h1_slot(q_c, env, chain=None):
     r_w = secmetrics.secrecy_redundancy(budget, np.minimum(p_cw, budget),
                                         env.sigma_w2, env.eta_s)
     r_s = np.maximum(env.r_t - r_w, 0.0)
-    num = p_ba - gamma_t * sigma_a2
-    live = p_ca > 0
-    # a vanishing interference sends the ratio to +inf (scp -> 1), the limit
-    # that is meant; gamma_t = 0 divides by zero and is settled below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(live, num / np.where(live, gamma_t * p_ca, 1.0), 0.0)
-        tail = np.where(live,
-                        np.exp(-gamma_c * sigma_a2 / np.where(live, p_ca, 1.0)),
-                        0.0)
-    scp = np.where(live,
-                   np.where(ratio > 0, -np.expm1(-np.maximum(ratio, 0.0)), 0.0),
-                   (num >= 0) * 1.0)
-    if gamma_t <= 0:
-        scp = np.ones_like(scp)
+    ratio, scp = secmetrics._scp_interference(p_ba, p_ca, sigma_a2, gamma_t)
+    tail = secmetrics._exceed_prob(p_ca, gamma_c * sigma_a2)
     rate = kappa * scp * r_s + (1.0 - kappa) * scp * tail * env.r_c
     if chain is None:
         return H1Terms(q_b, p_ba, p_ca, p_cw, r_w, r_s, scp, tail, rate)
     s_ba, s_ca = chain
     # scp = 1 - exp(-ratio) with ratio = (p_ba - gamma_t sigma)/(gamma_t p_ca):
-    # d ratio / d ln c_ba = p_ba/(gamma_t p_ca), d ratio / d ln c_ca = -ratio
-    interior = live & (ratio > 0) & np.isfinite(ratio)
+    # d ratio / d ln c_ba = p_ba/(gamma_t p_ca), d ratio / d ln c_ca = -ratio;
+    # the ratio is 0 wherever the interference vanishes
+    interior = (ratio > 0) & np.isfinite(ratio)
+    live = p_ca > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         damp = np.where(interior, np.exp(-np.where(interior, ratio, 0.0)), 0.0)
         dscp_ba = damp * np.where(interior, s_ba * p_ba / (gamma_t * p_ca), 0.0)
@@ -219,16 +219,16 @@ def h0_slot(q_b, env, chain=None):
     The secret user transmits q_b, which broadcasts with env's gains. The
     redundancy rate holds the secrecy outage at eta_s by the rule the
     covert-active model uses at zero cover (`secmetrics.secrecy_redundancy`,
-    which is then `redundancy_for_outage_cap`); the secret stream connects
-    with the Rayleigh tail exp(-gamma_t sigma_a2 / p_ba). With chain, the
-    per-slot derivative of ln c_ba in some x, the rate's partial in x is
-    returned as well.
+    which then inverts `secmetrics.sop_h0`); the secret stream connects
+    with the Rayleigh tail exp(-gamma_t sigma_a2 / p_ba)
+    (`secmetrics.scp_h0`). With chain, the per-slot derivative of ln c_ba
+    in some x, the rate's partial in x is returned as well.
     """
     p_ba = env.c_ba * q_b
     r_w = secmetrics.secrecy_redundancy(env.g_bw * q_b, 0.0, env.sigma_w2,
                                         env.eta_s)
     r_s = np.maximum(env.r_t - r_w, 0.0)
-    scp = np.exp(-env.gamma_t * env.sigma_a2 / p_ba)
+    scp = secmetrics._exceed_prob(p_ba, env.gamma_t * env.sigma_a2)
     rate = scp * r_s
     if chain is None:
         return H0Terms(r_w, r_s, scp, rate)

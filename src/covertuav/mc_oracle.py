@@ -161,14 +161,20 @@ def _exp_power(rng, mean, n):
 # -- power-parameterized event estimators --------------------------------------
 
 
-def estimate_scp_h0(p_ba, sigma_a2, r_t, samples=100_000, seed=0):
-    """Empirical Pr{faded secret power >= (2^r_t - 1) sigma_a2}."""
-    threshold = (2.0 ** r_t - 1.0) * sigma_a2
+def _estimate_tail(power, noise, rate, samples, seed):
+    """Empirical Pr{faded power >= (2^rate - 1) noise}, the power
+    exponential with mean `power`."""
+    threshold = (2.0 ** rate - 1.0) * noise
 
     def event(rng, n):
-        return np.count_nonzero(_exp_power(rng, p_ba, n) >= threshold)
+        return np.count_nonzero(_exp_power(rng, power, n) >= threshold)
 
     return _estimate(event, samples, seed)
+
+
+def estimate_scp_h0(p_ba, sigma_a2, r_t, samples=100_000, seed=0):
+    """Empirical Pr{faded secret power >= (2^r_t - 1) sigma_a2}."""
+    return _estimate_tail(p_ba, sigma_a2, r_t, samples, seed)
 
 
 def estimate_scp_h1(p_ba, p_ca, sigma_a2, r_t, samples=100_000, seed=0):
@@ -191,12 +197,7 @@ def estimate_scp_h1(p_ba, p_ca, sigma_a2, r_t, samples=100_000, seed=0):
 
 def estimate_sop_h0(p_bw, sigma_w2, r_w, samples=100_000, seed=0):
     """Empirical Pr{faded leakage power >= (2^r_w - 1) sigma_w2}."""
-    threshold = (2.0 ** r_w - 1.0) * sigma_w2
-
-    def event(rng, n):
-        return np.count_nonzero(_exp_power(rng, p_bw, n) >= threshold)
-
-    return _estimate(event, samples, seed)
+    return _estimate_tail(p_bw, sigma_w2, r_w, samples, seed)
 
 
 def estimate_sop_h1(p_bw, p_cw, sigma_w2, r_w, samples=100_000, seed=0):

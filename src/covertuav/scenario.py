@@ -167,6 +167,10 @@ def _validate(c: ScenarioConfig):
                  f"{nm}_m must be a pair of coordinates, got {v!r}")
     _require(c.l_start != c.l_end,
              "l_start_m and l_end_m must differ (the flight needs a ferry direction)")
+    for nm in ("l_b", "l_c"):
+        _require(getattr(c, nm) != c.l_w,
+                 f"{nm}_m and l_w_m must differ (a user at the adversary has "
+                 f"no ground link distance)")
     _require(c.h_m > 0, f"h_m must be positive, got {c.h_m}")
     _require(c.t_s > 0, f"t_s must be positive, got {c.t_s}")
     _require(c.n_slots >= 2, f"n_slots must be >= 2, got {c.n_slots}")
@@ -182,61 +186,79 @@ def _validate(c: ScenarioConfig):
     _require(c.bcd_tol > 0, f"bcd_tol must be positive, got {c.bcd_tol}")
 
 
+def _number(key, v, integer=False):
+    """The file value v of `key` as a float, or as an int for a count; a
+    ScenarioError naming the key when it is neither."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key} must be a number, got {v!r}") from None
+    if integer and not x.is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {v!r}")
+    return int(x) if integer else x
+
+
 def _pair(d, key):
     v = d[key]
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ScenarioError(f"{key} must be a pair [x, y], got {v!r}")
-    return (float(v[0]), float(v[1]))
+    return (_number(key, v[0]), _number(key, v[1]))
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a config from file-format keys (dB/dBm converted to linear)."""
     d = dict(d)
+
+    def num(key, default=None, integer=False):
+        return _number(key, d[key] if default is None else d.get(key, default),
+                       integer)
+
     try:
         l_start = _pair(d, "l_start_m")
         l_end = _pair(d, "l_end_m")
-        t_s = float(d["t_s"])
+        t_s = num("t_s")
         ferry = math.hypot(l_end[0] - l_start[0], l_end[1] - l_start[1])
         cruise = ferry / t_s if t_s > 0 else 0.0
         v_start = d.get("v_start_mps")
         v_end = d.get("v_end_mps")
         return ScenarioConfig(
             name=str(d.get("name", "scenario")),
-            n_b=int(d["n_b_antennas"]),
-            n_c=int(d["n_c_antennas"]),
-            q_b_max_w=dbm_to_watt(float(d["q_b_max_dbm"])),
-            q_c_max_w=dbm_to_watt(float(d["q_c_max_dbm"])),
-            r_t=float(d["r_t_bits"]),
-            r_c=float(d["r_c_bits"]),
-            eta_s=float(d["eta_s"]),
-            kappa=float(d["kappa"]),
-            m_samples=int(d.get("m_samples", 100)),
-            sigma_a2_w=dbm_to_watt(float(d["sigma_a2_dbm"])),
-            sigma_w2_w=dbm_to_watt(float(d["sigma_w2_dbm"])),
-            lambda0=db_to_linear(float(d["lambda0_db"])),
-            eta0=db_to_linear(float(d["eta0_db"])),
-            k_ba=db_to_linear(float(d["k_ba_db"])),
-            k_ca=db_to_linear(float(d["k_ca_db"])),
-            xi_ba=float(d["xi_ba"]),
-            xi_ca=float(d["xi_ca"]),
-            xi_bw=float(d["xi_bw"]),
-            xi_cw=float(d["xi_cw"]),
+            n_b=num("n_b_antennas", integer=True),
+            n_c=num("n_c_antennas", integer=True),
+            q_b_max_w=dbm_to_watt(num("q_b_max_dbm")),
+            q_c_max_w=dbm_to_watt(num("q_c_max_dbm")),
+            r_t=num("r_t_bits"),
+            r_c=num("r_c_bits"),
+            eta_s=num("eta_s"),
+            kappa=num("kappa"),
+            m_samples=num("m_samples", 100, integer=True),
+            sigma_a2_w=dbm_to_watt(num("sigma_a2_dbm")),
+            sigma_w2_w=dbm_to_watt(num("sigma_w2_dbm")),
+            lambda0=db_to_linear(num("lambda0_db")),
+            eta0=db_to_linear(num("eta0_db")),
+            k_ba=db_to_linear(num("k_ba_db")),
+            k_ca=db_to_linear(num("k_ca_db")),
+            xi_ba=num("xi_ba"),
+            xi_ca=num("xi_ca"),
+            xi_bw=num("xi_bw"),
+            xi_cw=num("xi_cw"),
             l_b=_pair(d, "l_b_m"),
             l_c=_pair(d, "l_c_m"),
             l_w=_pair(d, "l_w_m"),
             l_start=l_start,
             l_end=l_end,
-            h_m=float(d["h_m"]),
+            h_m=num("h_m"),
             t_s=t_s,
-            n_slots=int(d["n_slots"]),
-            v_min=float(d["v_min_mps"]),
-            v_max=float(d["v_max_mps"]),
-            a_max=float(d["a_max_mps2"]),
-            v_start=float(cruise if v_start is None else v_start),
+            n_slots=num("n_slots", integer=True),
+            v_min=num("v_min_mps"),
+            v_max=num("v_max_mps"),
+            a_max=num("a_max_mps2"),
+            v_start=_number("v_start_mps",
+                            cruise if v_start is None else v_start),
             v_end=(None if v_end == "free"
-                   else float(cruise if v_end is None else v_end)),
-            bsa_tol_rel=float(d.get("bsa_tol_rel", 1e-4)),
-            bcd_tol=float(d.get("bcd_tol", 1e-4)),
+                   else _number("v_end_mps", cruise if v_end is None else v_end)),
+            bsa_tol_rel=num("bsa_tol_rel", 1e-4),
+            bcd_tol=num("bcd_tol", 1e-4),
         )
     except KeyError as e:
         raise ScenarioError(f"missing scenario field {e.args[0]}") from None
@@ -245,7 +267,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 def load_scenario(path: str) -> ScenarioConfig:
     """Load a scenario file (flat key/value YAML)."""
     with open(path, "r") as f:
-        d = yaml.safe_load(f)
+        try:
+            d = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(
+                f"scenario file {path} is not valid YAML: {exc}") from None
     if not isinstance(d, dict):
         raise ScenarioError(f"scenario file {path} did not parse to a mapping")
     return scenario_from_dict(d)

@@ -143,7 +143,7 @@ def test_bsa_monotone_decreasing_returns_zero():
 
 def test_bsa_increasing_real_environment(env0):
     """With the secret stream muted the covert term only gains from power."""
-    inc = dataclasses.replace(env0, kappa=0.0, gamma_t=1e-30,
+    inc = dataclasses.replace(env0, kappa=0.0, r_t=0.0,
                               c_cw=env0.c_cw * 1e-6)
     grid = np.linspace(0.0, inc.q_c_feasible, 200)
     assert np.all(np.diff(inc.rate(grid)) > 0)

@@ -6,8 +6,9 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
-from covertuav import beamform, channel, cli, trajectory
+from covertuav import beamform, channel, cli, scenario, trajectory
 
 
 def _load(path):
@@ -59,6 +60,38 @@ def test_unknown_scenario_exits_with_config_error(tmp_path, capsys):
     rc = cli.main(["validate", "--scenario", "no_such_bundle",
                    "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("h_m", "abc", "h_m must be a number, got 'abc'"),
+    ("n_slots", [130, 2], "n_slots must be a number"),
+    ("n_slots", 130.7, "n_slots must be an integer, got 130.7"),
+    ("m_samples", "1e2.5", "m_samples must be a number"),
+    ("l_start_m", ["x", 0.0], "l_start_m must be a number"),
+    ("l_c_m", None, "l_c_m and l_w_m must differ"),
+    ("yaml", None, "is not valid YAML"),
+])
+def test_bad_scenario_file_exits_with_named_config_error(
+        cfg, key, value, needle, tmp_path, capsys):
+    """A bad value in a scenario file is a configuration error whose
+    message names the key (or, for broken YAML, the file): exit 1, no
+    traceback, and no run."""
+    path = tmp_path / "bad.yaml"
+    scenario.save_scenario(cfg, path)
+    text = path.read_text()
+    if key == "yaml":
+        text += "h_m: [1, 2\n"
+    else:
+        d = yaml.safe_load(text)
+        d[key] = d["l_w_m"] if value is None else value
+        text = yaml.safe_dump(d)
+    path.write_text(text)
+    rc = cli.main(["validate", "--quick", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith("configuration error: ") and needle in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_of_range_weight_exits_with_config_error(tmp_path):

@@ -218,6 +218,25 @@ _FIXED_POWER_TRACES = {
 }
 
 
+# objective traces of the joint runs, as float.hex: a change to the slot
+# model's code that keeps its values keeps these bit for bit
+_JOINT_TRACES = {
+    "paper_default": [
+        "0x1.3fe51f42b24bep+0", "0x1.72cfa37a654cdp+0",
+        "0x1.81b21b66880cfp+0", "0x1.81f38b1701989p+0",
+        "0x1.81f3a770ef0b3p+0"],
+    "paper_t100": [
+        "0x1.3fe408dbf2a70p+0", "0x1.6f913497822a0p+0",
+        "0x1.7ae79b9e242edp+0", "0x1.7aed3eb64ef13p+0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JOINT_TRACES))
+def test_joint_traces_are_pinned(name):
+    trace = orchestrator.run_bcd(scenario.bundled_scenario(name))
+    assert [float.hex(x) for x in trace.objectives] == _JOINT_TRACES[name]
+
+
 @pytest.mark.parametrize("name, runner", sorted(_FIXED_POWER_TRACES))
 def test_fixed_power_traces_are_pinned(name, runner):
     trace = getattr(orchestrator, runner)(scenario.bundled_scenario(name))

@@ -130,6 +130,15 @@ def test_coincident_endpoints_rejected():
         with_overrides(c, l_end=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("user", ["l_b", "l_c"])
+def test_user_at_adversary_rejected(user):
+    """A user on the adversary's spot has no ground link; both keys are
+    named."""
+    c = bundled_scenario()
+    with pytest.raises(ScenarioError, match=f"{user}_m and l_w_m must differ"):
+        with_overrides(c, **{user: c.l_w})
+
+
 def test_missing_field_named_in_error():
     d = {"n_b_antennas": 2}
     with pytest.raises(ScenarioError, match="missing scenario field"):

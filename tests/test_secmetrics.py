@@ -1,5 +1,5 @@
 """Closed-form security metrics: connection/outage probabilities, the
-radiometer error model, and the redundancy-rate helpers."""
+radiometer error model, and the redundancy rule."""
 
 import math
 import warnings
@@ -248,16 +248,6 @@ def test_dep_rejects_nonpositive_threshold():
         sm.dep(stats, q_th=-1.0)
 
 
-def test_detection_stats_builds_total_received_power():
-    st_ = sm.detection_stats(0.0, 0.0, 1.0, 1.0, 1)
-    assert st_.sigma0 == 1.0 and st_.sigma1 == 2.0
-    assert st_.q_th == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
-    st2 = sm.detection_stats(2e-9, 1.5e-9, 1e-9, 1e-12, 100)
-    assert st2.sigma0 == pytest.approx(2e-9 + 1e-12, rel=1e-14)
-    assert st2.sigma1 == pytest.approx(1.5e-9 + 1e-9 + 1e-12, rel=1e-14)
-    assert st2.m == 100
-
-
 def test_detection_stats_validation():
     with pytest.raises(ValueError):
         DetectionStats(0.0, 1.0, 1.0, 1)
@@ -360,56 +350,16 @@ def test_secrecy_redundancy_round_trip():
 
 
 def test_redundancy_cap_round_trip():
-    """The inverted rate must reproduce the outage cap exactly."""
+    """With no cover the rate inverts the covert-silent outage: it must
+    reproduce the outage cap exactly."""
     for p_bw in (3.5e-9, 1e-10, 2e-8):
         for eta in (0.01, 0.1, 0.5):
-            r_w = sm.redundancy_for_outage_cap(p_bw, 1e-12, eta)
+            r_w = sm.secrecy_redundancy(p_bw, 0.0, 1e-12, eta)
             assert sm.sop_h0(p_bw, 1e-12, r_w) == pytest.approx(eta, rel=1e-10)
 
 
 def test_redundancy_cap_rejects_bad_cap():
     with pytest.raises(ValueError, match="eta_s"):
-        sm.redundancy_for_outage_cap(1e-9, 1e-12, 1.0)
+        sm.secrecy_redundancy(1e-9, 0.0, 1e-12, 1.0)
     with pytest.raises(ValueError, match="eta_s"):
         sm.secrecy_redundancy(1e-9, 0.0, 1e-12, 0.0)
-
-
-def test_secret_rate_clamps():
-    assert sm.secret_rate(16.0, 12.0) == 4.0
-    assert sm.secret_rate(10.0, 12.0) == 0.0
-    arr = sm.secret_rate(np.array([16.0, 10.0]), 12.0)
-    assert np.array_equal(arr, np.array([4.0, 0.0]))
-
-
-# -- combined report ---------------------------------------------------------
-
-def test_security_report_consistency():
-    rep = sm.security_report(
-        p_ba0=1.2e-6, p_ba1=1.1e-6, p_ca=4.0e-9,
-        p_bw0=7.0e-9, p_bw1=6.5e-9, p_cw=1.0e-9,
-        sigma_a2=1e-12, sigma_w2=1e-12,
-        r_t=16.0, r_c=4.0, r_w=12.0, m=100, kappa=0.5)
-    assert rep.scp_h0 == pytest.approx(sm.scp_h0(1.2e-6, 1e-12, 16.0), rel=1e-14)
-    assert rep.scp_h1 == pytest.approx(sm.scp_h1(1.1e-6, 4e-9, 1e-12, 16.0), rel=1e-14)
-    assert rep.sop_h1 == pytest.approx(sm.sop_h1(6.5e-9, 1e-9, 1e-12, 12.0), rel=1e-14)
-    assert rep.r_s == 4.0
-    assert rep.p_e == pytest.approx(rep.p_f + rep.p_m, rel=1e-12)
-    want = 0.5 * rep.scp_h1 * rep.r_s + 0.5 * rep.ccp * 4.0
-    assert rep.weighted_rate == pytest.approx(want, rel=1e-13)
-    assert rep.detection.sigma1 > rep.detection.sigma0
-
-
-def test_write_security_csv(tmp_path):
-    rep = sm.security_report(
-        p_ba0=1.2e-6, p_ba1=1.1e-6, p_ca=4.0e-9,
-        p_bw0=7.0e-9, p_bw1=6.5e-9, p_cw=1.0e-9,
-        sigma_a2=1e-12, sigma_w2=1e-12,
-        r_t=16.0, r_c=4.0, r_w=12.0, m=100)
-    path = tmp_path / "sec.csv"
-    sm.write_security_csv(path, [rep, rep])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == [
-        "slot", "scp_h0", "scp_h1", "sop_h0", "sop_h1", "ccp",
-        "p_f", "p_m", "p_e", "r_w", "r_s", "rate"]
-    assert len(lines) == 3
-    assert lines[1].startswith("0,") and lines[2].startswith("1,")
