@@ -31,7 +31,7 @@ from .rng import make_rng
 
 __all__ = [
     "EXIT_OK", "EXIT_CONFIG", "EXIT_OPTIMIZATION", "EXIT_VALIDATION",
-    "RunManifest", "SweepSpec", "default_sweep",
+    "RunManifest",
     "cmd_metrics_sweep", "cmd_rate_vs_power", "cmd_optimize", "cmd_validate",
     "build_parser", "main",
 ]
@@ -47,7 +47,7 @@ RATE_MODES = ("h0", "h1")
 
 
 class UsageError(ValueError):
-    """Bad flags or an unusable sweep request."""
+    """Bad flags, or an unknown figure or mode."""
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +73,6 @@ class RunManifest:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Inclusive linear grid for one swept variable."""
-
-    start: float
-    stop: float
-    num: int
-
-    def __post_init__(self):
-        if self.num < 1:
-            raise UsageError("empty sweep range (need at least one point)")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise UsageError("sweep bounds must be finite")
-        if self.stop < self.start:
-            raise UsageError("sweep stop must not precede start")
-
-    def values(self):
-        return np.linspace(self.start, self.stop, self.num)
-
-
 # ---------------------------------------------------------------------------
 # shared operating point
 
@@ -104,25 +84,11 @@ def _slot0_env(cfg):
     return kernels.slot_env(cfg, gains, 0)
 
 
-def default_sweep(figure, cfg):
-    """The grid each figure sweeps when none is supplied."""
-    if figure in ("scp", "sop"):
-        return SweepSpec(0.0, 30.0, 121)
-    if figure == "ccp":
-        return SweepSpec(0.0, 16.0, 129)
-    if figure == "dep":
-        env = _slot0_env(cfg)
-        s0 = env.budget + cfg.sigma_w2_w
-        s1 = s0 + env.c_cw * cfg.q_c_max_w
-        return SweepSpec(0.5 * s0, 2.0 * s1, 301)
-    raise UsageError(f"unknown figure {figure!r} (choose from {FIGURES})")
-
-
 # ---------------------------------------------------------------------------
 # metrics-sweep
 
 
-def cmd_metrics_sweep(cfg, figure, outdir, sweep=None):
+def cmd_metrics_sweep(cfg, figure, outdir):
     """Write one CSV per curve of the chosen metric family.
 
     Connection/outage curves are evaluated at the slot-0 operating point
@@ -133,51 +99,47 @@ def cmd_metrics_sweep(cfg, figure, outdir, sweep=None):
     """
     if figure not in FIGURES:
         raise UsageError(f"unknown figure {figure!r} (choose from {FIGURES})")
-    sweep = default_sweep(figure, cfg) if sweep is None else sweep
-    grid = sweep.values()
     os.makedirs(outdir, exist_ok=True)
     files = []
 
     def emit(name, column, values):
         write_atomic_csv(os.path.join(outdir, name), (column, figure),
-                         list(zip(grid.tolist(), np.asarray(values).tolist())))
+                         list(zip(grid.tolist(), values.tolist())))
         files.append(name)
 
     if figure == "dep":
         env = _slot0_env(cfg)
         s0 = env.budget + cfg.sigma_w2_w
-        p_cw = env.c_cw * cfg.q_c_max_w
+        s1 = s0 + env.c_cw * cfg.q_c_max_w
+        grid = np.linspace(0.5 * s0, 2.0 * s1, 301)
         for m in (50, 100):
             stats = secmetrics.DetectionStats(
-                sigma0=s0, sigma1=s0 + p_cw,
-                q_th=secmetrics.optimal_threshold(s0, s0 + p_cw), m=m)
+                sigma0=s0, sigma1=s1,
+                q_th=secmetrics.optimal_threshold(s0, s1), m=m)
             _, _, p_e = secmetrics.dep(stats, grid)
             emit(f"dep_m{m}.csv", "q_th", p_e)
         return files
 
+    grid = (np.linspace(0.0, 16.0, 129) if figure == "ccp"
+            else np.linspace(0.0, 30.0, 121))
     for n in (2, 4):
         alt = scenario.with_overrides(cfg, n_b=n, n_c=n)
         env = _slot0_env(alt)
         q_c = beamform.bsa_optimize(env=env, zeta1=alt.zeta1_w).q_c
         q_b, p_ba, p_ca, p_cw = env.split_powers(q_c)
         if figure == "scp":
-            emit(f"scp_h0_n{n}.csv", "r_t",
-                 [secmetrics.scp_h0(env.c_ba * env.q_b_max, env.sigma_a2, r)
-                  for r in grid])
+            emit(f"scp_h0_n{n}.csv", "r_t", secmetrics.scp_h0(
+                env.c_ba * env.q_b_max, env.sigma_a2, grid))
             emit(f"scp_h1_n{n}.csv", "r_t",
-                 [secmetrics.scp_h1(p_ba, p_ca, env.sigma_a2, r)
-                  for r in grid])
+                 secmetrics.scp_h1(p_ba, p_ca, env.sigma_a2, grid))
         elif figure == "sop":
             emit(f"sop_h0_n{n}.csv", "r_w",
-                 [secmetrics.sop_h0(env.budget, env.sigma_w2, r)
-                  for r in grid])
-            emit(f"sop_h1_n{n}.csv", "r_w",
-                 [secmetrics.sop_h1(q_b * env.g_bw, p_cw, env.sigma_w2, r)
-                  for r in grid])
+                 secmetrics.sop_h0(env.budget, env.sigma_w2, grid))
+            emit(f"sop_h1_n{n}.csv", "r_w", secmetrics.sop_h1(
+                q_b * env.g_bw, p_cw, env.sigma_w2, grid))
         else:
             emit(f"ccp_n{n}.csv", "r_c",
-                 [secmetrics.ccp(p_ba, p_ca, env.sigma_a2, env.r_t, r)
-                  for r in grid])
+                 secmetrics.ccp(p_ba, p_ca, env.sigma_a2, env.r_t, grid))
     return files
 
 
@@ -294,17 +256,15 @@ def _check_threshold_rule(seed, report):
                    f"(worst excess {worst:.2e})"))
 
 
-def _check_covertness(cfg, report):
-    env = _slot0_env(cfg)
-    q_c = beamform.bsa_optimize(env=env, zeta1=cfg.zeta1_w).q_c
-    decision = beamform.decision_at(env, q_c)
+def _check_covertness(env, best, m_samples, report):
+    decision = beamform.decision_at(env, best.q_c)
     residual = decision.covertness_residual(env)
     s0 = env.budget + env.sigma_w2
     stats = secmetrics.DetectionStats(
         sigma0=s0,
         sigma1=decision.q_b * env.g_bw + decision.q_c * env.c_cw
         + env.sigma_w2,
-        q_th=s0, m=cfg.m_samples)
+        q_th=s0, m=m_samples)
     _, _, p_e = secmetrics.dep(stats, np.geomspace(0.5 * s0, 2.0 * s0, 7))
     flat = float(np.max(np.abs(np.asarray(p_e) - 1.0)))
     report.append((residual <= 1e-9 and flat <= 1e-12,
@@ -312,8 +272,7 @@ def _check_covertness(cfg, report):
                    f" detector stuck at error 1 within {flat:.2e})"))
 
 
-def _check_monotonicity(cfg, report):
-    env = _slot0_env(cfg)
+def _check_monotonicity(env, report):
     q_b, p_ba, p_ca, p_cw = env.split_powers(0.5 * env.q_c_feasible)
     r_grid = np.linspace(0.0, 30.0, 100)
     scp = [secmetrics.scp_h1(p_ba, p_ca, env.sigma_a2, r) for r in r_grid]
@@ -332,9 +291,7 @@ def _check_monotonicity(cfg, report):
                    " length"))
 
 
-def _check_slot_curve(cfg, report):
-    env = _slot0_env(cfg)
-    res = beamform.bsa_optimize(env=env, zeta1=cfg.zeta1_w)
+def _check_slot_curve(env, res, report):
     grid_best = float(np.max(env.rate(np.linspace(0.0, env.q_c_feasible,
                                                   2001))))
     ok = res.unimodal and res.objective >= grid_best - 1e-5 * abs(grid_best)
@@ -359,9 +316,13 @@ def cmd_validate(cfg, outdir, seed=0, samples=100_000, quick=False):
     rows = _check_agreement(cfg, seed, samples, report)
     _check_detector_mc(seed, trials, report)
     _check_threshold_rule(seed, report)
-    _check_covertness(cfg, report)
-    _check_monotonicity(cfg, report)
-    _check_slot_curve(cfg, report)
+    # one slot-0 operating point and its power search serve the three
+    # model checks
+    env = _slot0_env(cfg)
+    best = beamform.bsa_optimize(env=env, zeta1=cfg.zeta1_w)
+    _check_covertness(env, best, cfg.m_samples, report)
+    _check_monotonicity(env, report)
+    _check_slot_curve(env, best, report)
 
     mc_oracle.write_agreement_csv(os.path.join(outdir, "agreement.csv"), rows)
     lines = [f"{'PASS' if ok else 'FAIL'} {text}" for ok, text in report]

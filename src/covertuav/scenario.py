@@ -3,13 +3,19 @@
 Files are flat key/value YAML with units encoded in the key suffixes
 (`*_dbm`, `*_db`, `*_m`, `*_mps`, `*_mps2`, `*_s`, `*_bits`). Everything is
 converted to linear/SI units at load time and kept that way internally —
-dB and dBm exist only at the file boundary. Configs are frozen; derive
-variants with :func:`with_overrides`.
+dB and dBm exist only at the file boundary. The file format is declared
+once, on the fields of :class:`ScenarioConfig`: each names its file key and
+unit class, and the keys with a file default (`m_samples`, the two
+tolerances, and the speeds, which default to the straight-ferry cruise
+speed) carry it there. Configs are frozen and validated on construction,
+so a count that is not an integer is refused whether it comes from a file
+or from :func:`with_overrides`, which derives variants.
 """
 
 import dataclasses
 import importlib.resources
 import math
+import numbers
 from dataclasses import dataclass
 
 import yaml
@@ -55,57 +61,111 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-@dataclass(frozen=True)
+class _Unit:
+    """How one unit class is read from the file (`load(key, value)`, a
+    ScenarioError naming the key on a bad value) and written back."""
+
+    def __init__(self, load, save=lambda x: x):
+        self.load, self.save = load, save
+
+
+def _number(key, v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key} must be a number, got {v!r}") from None
+
+
+def _count(key, v):
+    """An integral number as an int; any other number is left as it is for
+    the count check in _validate to name."""
+    x = _number(key, v)
+    return int(x) if x.is_integer() else v
+
+
+def _pair(key, v):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ScenarioError(f"{key} must be a pair [x, y], got {v!r}")
+    return (_number(key, v[0]), _number(key, v[1]))
+
+
+_NUM = _Unit(_number)
+_COUNT = _Unit(_count, int)
+_DBM = _Unit(lambda key, v: dbm_to_watt(_number(key, v)), watt_to_dbm)
+# a zero Rician factor (pure Rayleigh fading) is saved as -inf dB
+_DB = _Unit(lambda key, v: db_to_linear(_number(key, v)),
+           lambda x: linear_to_db(x) if x > 0 else -math.inf)
+_PAIR = _Unit(_pair, list)
+# speeds default to the straight-ferry cruise speed; a free terminal speed
+# is None here and "free" in the file
+_SPEED = _Unit(_number)
+_FREE_SPEED = _Unit(lambda key, v: None if v == "free" else _number(key, v),
+                   lambda x: "free" if x is None else x)
+
+
+def _file(key, unit=_NUM, default=dataclasses.MISSING):
+    """A field stored under file key `key` in `unit`; `default` applies both
+    when a file omits the key and when the constructor is not given it."""
+    return dataclasses.field(default=default,
+                             metadata={"key": key, "unit": unit})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """One scenario, all values linear/SI. Immutable after construction."""
+    """One scenario, all values linear/SI. Immutable after construction.
+
+    Each field but `name` declares its file key and unit class; the loader,
+    the saver and the count check all read these declarations, in this
+    order.
+    """
 
     name: str
     # antennas
-    n_b: int
-    n_c: int
+    n_b: int = _file("n_b_antennas", _COUNT)
+    n_c: int = _file("n_c_antennas", _COUNT)
     # power budgets (W)
-    q_b_max_w: float
-    q_c_max_w: float
+    q_b_max_w: float = _file("q_b_max_dbm", _DBM)
+    q_c_max_w: float = _file("q_c_max_dbm", _DBM)
     # rates (bits per channel use)
-    r_t: float
-    r_c: float
+    r_t: float = _file("r_t_bits")
+    r_c: float = _file("r_c_bits")
     # secrecy outage cap and objective weight
-    eta_s: float
-    kappa: float
+    eta_s: float = _file("eta_s")
+    kappa: float = _file("kappa")
     # radiometer block length (samples per detection window)
-    m_samples: int
+    m_samples: int = _file("m_samples", _COUNT, 100)
     # noise powers (W)
-    sigma_a2_w: float
-    sigma_w2_w: float
+    sigma_a2_w: float = _file("sigma_a2_dbm", _DBM)
+    sigma_w2_w: float = _file("sigma_w2_dbm", _DBM)
     # reference gains (linear) and Rician factors (linear)
-    lambda0: float
-    eta0: float
-    k_ba: float
-    k_ca: float
+    lambda0: float = _file("lambda0_db", _DB)
+    eta0: float = _file("eta0_db", _DB)
+    k_ba: float = _file("k_ba_db", _DB)
+    k_ca: float = _file("k_ca_db", _DB)
     # path-loss exponents (negative)
-    xi_ba: float
-    xi_ca: float
-    xi_bw: float
-    xi_cw: float
+    xi_ba: float = _file("xi_ba")
+    xi_ca: float = _file("xi_ca")
+    xi_bw: float = _file("xi_bw")
+    xi_cw: float = _file("xi_cw")
     # ground positions (m)
-    l_b: tuple
-    l_c: tuple
-    l_w: tuple
+    l_b: tuple = _file("l_b_m", _PAIR)
+    l_c: tuple = _file("l_c_m", _PAIR)
+    l_w: tuple = _file("l_w_m", _PAIR)
     # flight endpoints (m), altitude (m), horizon (s), slot count
-    l_start: tuple
-    l_end: tuple
-    h_m: float
-    t_s: float
-    n_slots: int
+    l_start: tuple = _file("l_start_m", _PAIR)
+    l_end: tuple = _file("l_end_m", _PAIR)
+    h_m: float = _file("h_m")
+    t_s: float = _file("t_s")
+    n_slots: int = _file("n_slots", _COUNT)
     # flight limits; v_end None leaves the terminal speed unpinned
-    v_min: float
-    v_max: float
-    a_max: float
-    v_start: float
-    v_end: float | None
+    v_min: float = _file("v_min_mps")
+    v_max: float = _file("v_max_mps")
+    a_max: float = _file("a_max_mps2")
+    v_start: float = _file("v_start_mps", _SPEED)
+    v_end: float | None = _file("v_end_mps", _FREE_SPEED)
     # optimizer tolerances
-    bsa_tol_rel: float = 1e-4
-    bcd_tol: float = 1e-4
+    bsa_tol_rel: float = _file("bsa_tol_rel", default=1e-4)
+    bcd_tol: float = _file("bcd_tol", default=1e-4)
 
     # -- derived quantities ------------------------------------------------
 
@@ -113,16 +173,6 @@ class ScenarioConfig:
     def delta_t(self) -> float:
         """Slot duration (s)."""
         return self.t_s / self.n_slots
-
-    @property
-    def gamma_t(self) -> float:
-        """SNR threshold 2^R_t - 1 for the secret stream."""
-        return 2.0 ** self.r_t - 1.0
-
-    @property
-    def gamma_c(self) -> float:
-        """SNR threshold 2^R_c - 1 for the covert stream."""
-        return 2.0 ** self.r_c - 1.0
 
     @property
     def zeta1_w(self) -> float:
@@ -138,12 +188,23 @@ class ScenarioConfig:
         _validate(self)
 
 
+# (field, file key, unit, file default) of every field but `name`
+_FILE_FIELDS = tuple((f.name, f.metadata["key"], f.metadata["unit"], f.default)
+                     for f in dataclasses.fields(ScenarioConfig) if f.metadata)
+_COUNTS = tuple((name, key) for name, key, unit, _ in _FILE_FIELDS
+                if unit is _COUNT)
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise ScenarioError(msg)
 
 
 def _validate(c: ScenarioConfig):
+    for name, key in _COUNTS:
+        v = getattr(c, name)
+        _require(isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                 f"{key} must be an integer, got {v!r}")
     _require(c.n_b >= 1, f"n_b_antennas must be >= 1, got {c.n_b}")
     _require(c.n_c >= 1, f"n_c_antennas must be >= 1, got {c.n_c}")
     _require(c.q_b_max_w > 0, f"q_b_max must be positive, got {c.q_b_max_w} W")
@@ -186,82 +247,21 @@ def _validate(c: ScenarioConfig):
     _require(c.bcd_tol > 0, f"bcd_tol must be positive, got {c.bcd_tol}")
 
 
-def _number(key, v, integer=False):
-    """The file value v of `key` as a float, or as an int for a count; a
-    ScenarioError naming the key when it is neither."""
-    try:
-        x = float(v)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{key} must be a number, got {v!r}") from None
-    if integer and not x.is_integer():
-        raise ScenarioError(f"{key} must be an integer, got {v!r}")
-    return int(x) if integer else x
-
-
-def _pair(d, key):
-    v = d[key]
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ScenarioError(f"{key} must be a pair [x, y], got {v!r}")
-    return (_number(key, v[0]), _number(key, v[1]))
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a config from file-format keys (dB/dBm converted to linear)."""
-    d = dict(d)
-
-    def num(key, default=None, integer=False):
-        return _number(key, d[key] if default is None else d.get(key, default),
-                       integer)
-
-    try:
-        l_start = _pair(d, "l_start_m")
-        l_end = _pair(d, "l_end_m")
-        t_s = num("t_s")
-        ferry = math.hypot(l_end[0] - l_start[0], l_end[1] - l_start[1])
-        cruise = ferry / t_s if t_s > 0 else 0.0
-        v_start = d.get("v_start_mps")
-        v_end = d.get("v_end_mps")
-        return ScenarioConfig(
-            name=str(d.get("name", "scenario")),
-            n_b=num("n_b_antennas", integer=True),
-            n_c=num("n_c_antennas", integer=True),
-            q_b_max_w=dbm_to_watt(num("q_b_max_dbm")),
-            q_c_max_w=dbm_to_watt(num("q_c_max_dbm")),
-            r_t=num("r_t_bits"),
-            r_c=num("r_c_bits"),
-            eta_s=num("eta_s"),
-            kappa=num("kappa"),
-            m_samples=num("m_samples", 100, integer=True),
-            sigma_a2_w=dbm_to_watt(num("sigma_a2_dbm")),
-            sigma_w2_w=dbm_to_watt(num("sigma_w2_dbm")),
-            lambda0=db_to_linear(num("lambda0_db")),
-            eta0=db_to_linear(num("eta0_db")),
-            k_ba=db_to_linear(num("k_ba_db")),
-            k_ca=db_to_linear(num("k_ca_db")),
-            xi_ba=num("xi_ba"),
-            xi_ca=num("xi_ca"),
-            xi_bw=num("xi_bw"),
-            xi_cw=num("xi_cw"),
-            l_b=_pair(d, "l_b_m"),
-            l_c=_pair(d, "l_c_m"),
-            l_w=_pair(d, "l_w_m"),
-            l_start=l_start,
-            l_end=l_end,
-            h_m=num("h_m"),
-            t_s=t_s,
-            n_slots=num("n_slots", integer=True),
-            v_min=num("v_min_mps"),
-            v_max=num("v_max_mps"),
-            a_max=num("a_max_mps2"),
-            v_start=_number("v_start_mps",
-                            cruise if v_start is None else v_start),
-            v_end=(None if v_end == "free"
-                   else _number("v_end_mps", cruise if v_end is None else v_end)),
-            bsa_tol_rel=num("bsa_tol_rel", 1e-4),
-            bcd_tol=num("bcd_tol", 1e-4),
-        )
-    except KeyError as e:
-        raise ScenarioError(f"missing scenario field {e.args[0]}") from None
+    kw = {"name": str(d.get("name", "scenario"))}
+    for name, key, unit, default in _FILE_FIELDS:
+        v = d.get(key, default)
+        if unit is _SPEED or unit is _FREE_SPEED:
+            if v is None or v is dataclasses.MISSING:
+                t_s = kw["t_s"]
+                v = (math.hypot(kw["l_end"][0] - kw["l_start"][0],
+                                kw["l_end"][1] - kw["l_start"][1]) / t_s
+                     if t_s > 0 else 0.0)
+        elif v is dataclasses.MISSING:
+            raise ScenarioError(f"missing scenario field {key}")
+        kw[name] = unit.load(key, v)
+    return ScenarioConfig(**kw)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -287,43 +287,10 @@ def bundled_scenario(name: str = "paper_default") -> ScenarioConfig:
 
 
 def _to_file_dict(c: ScenarioConfig) -> dict:
-    return {
-        "name": c.name,
-        "n_b_antennas": c.n_b,
-        "n_c_antennas": c.n_c,
-        "q_b_max_dbm": watt_to_dbm(c.q_b_max_w),
-        "q_c_max_dbm": watt_to_dbm(c.q_c_max_w),
-        "r_t_bits": c.r_t,
-        "r_c_bits": c.r_c,
-        "eta_s": c.eta_s,
-        "kappa": c.kappa,
-        "m_samples": c.m_samples,
-        "sigma_a2_dbm": watt_to_dbm(c.sigma_a2_w),
-        "sigma_w2_dbm": watt_to_dbm(c.sigma_w2_w),
-        "lambda0_db": linear_to_db(c.lambda0),
-        "eta0_db": linear_to_db(c.eta0),
-        "k_ba_db": linear_to_db(c.k_ba) if c.k_ba > 0 else -math.inf,
-        "k_ca_db": linear_to_db(c.k_ca) if c.k_ca > 0 else -math.inf,
-        "xi_ba": c.xi_ba,
-        "xi_ca": c.xi_ca,
-        "xi_bw": c.xi_bw,
-        "xi_cw": c.xi_cw,
-        "l_b_m": list(c.l_b),
-        "l_c_m": list(c.l_c),
-        "l_w_m": list(c.l_w),
-        "l_start_m": list(c.l_start),
-        "l_end_m": list(c.l_end),
-        "h_m": c.h_m,
-        "t_s": c.t_s,
-        "n_slots": c.n_slots,
-        "v_min_mps": c.v_min,
-        "v_max_mps": c.v_max,
-        "a_max_mps2": c.a_max,
-        "v_start_mps": c.v_start,
-        "v_end_mps": "free" if c.v_end is None else c.v_end,
-        "bsa_tol_rel": c.bsa_tol_rel,
-        "bcd_tol": c.bcd_tol,
-    }
+    d = {"name": c.name}
+    for name, key, unit, _ in _FILE_FIELDS:
+        d[key] = unit.save(getattr(c, name))
+    return d
 
 
 def save_scenario(c: ScenarioConfig, path: str):
@@ -333,5 +300,5 @@ def save_scenario(c: ScenarioConfig, path: str):
 
 
 def with_overrides(c: ScenarioConfig, **kw) -> ScenarioConfig:
-    """New config with fields replaced; revalidated."""
+    """New config with fields replaced; revalidated like a loaded file."""
     return dataclasses.replace(c, **kw)

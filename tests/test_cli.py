@@ -24,29 +24,9 @@ def _manifest(outdir):
 # flag plumbing
 
 
-def test_sweep_spec_rejects_empty_range():
-    with pytest.raises(cli.UsageError, match="at least one point"):
-        cli.SweepSpec(0.0, 1.0, 0)
-
-
-def test_sweep_spec_rejects_reversed_bounds():
-    with pytest.raises(cli.UsageError, match="precede"):
-        cli.SweepSpec(2.0, 1.0, 5)
-
-
-def test_sweep_spec_rejects_nonfinite_bounds():
-    with pytest.raises(cli.UsageError, match="finite"):
-        cli.SweepSpec(0.0, float("inf"), 5)
-
-
-def test_sweep_spec_grid_is_inclusive():
-    vals = cli.SweepSpec(1.0, 3.0, 5).values()
-    assert vals[0] == 1.0 and vals[-1] == 3.0 and len(vals) == 5
-
-
-def test_default_sweep_unknown_figure(cfg):
+def test_default_sweep_unknown_figure(cfg, tmp_path):
     with pytest.raises(cli.UsageError, match="unknown figure"):
-        cli.default_sweep("snr", cfg)
+        cli.cmd_metrics_sweep(cfg, "snr", str(tmp_path))
 
 
 def test_bad_figure_flag_exits_with_config_error(tmp_path, capsys):
@@ -324,8 +304,8 @@ def test_validate_reports_failures_with_dedicated_exit_code(
     def stub_pass(*args):
         args[-1].append((True, "stub"))
 
-    def stub_fail(cfg, report):
-        report.append((False, "forced failure"))
+    def stub_fail(*args):
+        args[-1].append((False, "forced failure"))
 
     monkeypatch.setattr(cli, "_check_agreement", stub_agreement)
     monkeypatch.setattr(cli, "_check_detector_mc", stub_pass)

@@ -4,7 +4,9 @@ import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
+import yaml
 
 from covertuav import scenario
 from covertuav.scenario import (
@@ -19,6 +21,8 @@ from covertuav.scenario import (
     watt_to_dbm,
     with_overrides,
 )
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_dbm_to_watt_anchors():
@@ -83,8 +87,6 @@ def test_unknown_bundled_name_is_rejected():
 def test_derived_quantities():
     c = bundled_scenario()
     assert c.delta_t == pytest.approx(1.0, rel=1e-15)
-    assert c.gamma_t == pytest.approx(2.0 ** 16 - 1.0, rel=1e-15)
-    assert c.gamma_c == pytest.approx(15.0, rel=1e-15)
     assert c.zeta1_w == pytest.approx(1e-7, rel=1e-12)
     assert c.ferry_distance == pytest.approx(math.hypot(500.0, 500.0), rel=1e-15)
     shorter = with_overrides(c, t_s=100.0, n_slots=50)
@@ -116,12 +118,83 @@ def test_config_is_immutable():
     ("v_start", 30.0, "v_start_mps must lie in"),
     ("v_end", 0.1, "v_end_mps must lie in"),
     ("bsa_tol_rel", 0.0, "bsa_tol_rel must be positive"),
+    # counts are ints (numpy ints included) from a file and from overrides
+    ("n_slots", 130.7, "n_slots must be an integer, got 130.7"),
+    ("n_slots", 130.0, "n_slots must be an integer, got 130.0"),
+    ("n_b", 2.5, "n_b_antennas must be an integer, got 2.5"),
+    ("n_b", True, "n_b_antennas must be an integer, got True"),
+    ("n_c", np.float64(2.0), "n_c_antennas must be an integer"),
+    ("m_samples", 99.5, "m_samples must be an integer, got 99.5"),
 ])
 def test_named_rejections(field, value, needle):
     """Every invalid field raises with a message naming the field."""
     c = bundled_scenario()
     with pytest.raises(ScenarioError, match=needle):
         with_overrides(c, **{field: value})
+
+
+def test_numpy_integer_counts_are_accepted_and_saved(tmp_path):
+    c = with_overrides(bundled_scenario(), n_b=np.int64(4), n_slots=np.int32(60))
+    assert (c.n_b, c.n_slots) == (4, 60)
+    path = os.path.join(tmp_path, "np.yaml")
+    save_scenario(c, path)
+    back = load_scenario(path)
+    assert (back.n_b, back.n_slots) == (4, 60)
+    assert type(back.n_b) is int and type(back.n_slots) is int
+
+
+@pytest.mark.parametrize("value", [130, 130.0, "130"])
+def test_file_counts_accept_integral_numbers(value):
+    with open(os.path.join(DATA, "paper_default.saved.yaml")) as fh:
+        d = yaml.safe_load(fh)
+    c = scenario_from_dict({**d, "n_slots": value})
+    assert c.n_slots == 130 and type(c.n_slots) is int
+
+
+@pytest.mark.parametrize("name,source", [
+    ("paper_default", "bundled"),
+    ("paper_t100", "bundled"),
+    ("baselines_s1", "file"),
+])
+def test_saved_text_is_pinned(tmp_path, name, source):
+    """save_scenario writes the same bytes for the bundled scenarios and for
+    the benchmark's jittered 260-slot scenario."""
+    c = (bundled_scenario(name) if source == "bundled"
+         else load_scenario(os.path.join(DATA, f"{name}.yaml")))
+    path = os.path.join(tmp_path, "saved.yaml")
+    save_scenario(c, path)
+    with open(path) as fh, \
+            open(os.path.join(DATA, f"{name}.saved.yaml")) as want:
+        assert fh.read() == want.read()
+
+
+def _full_file_dict():
+    with open(os.path.join(DATA, "paper_default.saved.yaml")) as fh:
+        return yaml.safe_load(fh)
+
+
+DEFAULTED_KEYS = {"m_samples", "bsa_tol_rel", "bcd_tol", "v_start_mps",
+                  "v_end_mps"}
+
+
+@pytest.mark.parametrize("key", [k for k in _full_file_dict() if k != "name"])
+def test_only_defaulted_keys_may_be_dropped(key):
+    """Dropping a key either names it as missing or, for exactly the keys
+    with a file default, loads the same scenario as spelling the default
+    out."""
+    full = _full_file_dict()
+    d = {k: v for k, v in full.items() if k != key}
+    if key in DEFAULTED_KEYS:
+        assert scenario_from_dict(d) == scenario_from_dict(full)
+    else:
+        with pytest.raises(ScenarioError,
+                           match=f"^missing scenario field {key}$"):
+            scenario_from_dict(d)
+
+
+def test_dropped_name_defaults():
+    d = {k: v for k, v in _full_file_dict().items() if k != "name"}
+    assert scenario_from_dict(d).name == "scenario"
 
 
 def test_coincident_endpoints_rejected():

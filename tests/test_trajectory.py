@@ -151,7 +151,7 @@ def test_rate_of_mu_rejects_negative_slack(cfg):
 def test_rate_of_mu_continuous_at_decode_boundary(cfg):
     """The clamped connection probability meets zero without a jump."""
     # find the mu_ba where the margin crosses zero at tiny covert power
-    gamma = cfg.gamma_t
+    gamma = 2.0 ** cfg.r_t - 1.0
     target = cfg.n_b * cfg.lambda0 / (gamma * cfg.sigma_a2_w)
     mu_edge = target - cfg.h_m ** 2  # p_ba == gamma*sigma at this slack
     below = trajectory.rate_of_mu(mu_edge * (1 - 1e-9), 1e4, 1e-9, cfg)
