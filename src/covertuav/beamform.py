@@ -295,22 +295,22 @@ def h0_decision(env):
 
 @dataclass(frozen=True)
 class DirectionDecision:
-    """Joint (theta, q_c) choice over the rank-one beam family."""
+    """Joint (theta, q_c) choice over the rank-one beam family: the unit
+    beams and the one-slot design record, which carries theta."""
 
     u_b: np.ndarray
     u_c: np.ndarray
-    theta: float
     decision: SlotDecisions   # one-slot record
-    env: SlotEnv
 
 
-def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
+def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None):
     """Pick beam directions from explicit channel vectors.
 
     The secret beam is maximum-ratio toward the receiver. The covert beam
     is selected from the two-dimensional mixing family by a coarse angle
-    scan, each angle scored by its own power search; theta = 0 reproduces
-    the pure maximum-ratio beam, so the scan never does worse than it.
+    scan (33 angles over [0, pi/2], plus the leakage-nulling angle), each
+    angle scored by its own power search; theta = 0 reproduces the pure
+    maximum-ratio beam, so the scan never does worse than it.
     Returns the directions and the winning power decision; beamformers are
     exactly rank one (w = sqrt(power) * direction).
     """
@@ -320,7 +320,7 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
     if e2 is None:
         angles = np.array([0.0])
     else:
-        angles = np.linspace(0.0, 0.5 * math.pi, thetas)
+        angles = np.linspace(0.0, 0.5 * math.pi, 33)
         if beta > 0:
             null_theta = math.atan2(alpha_abs, beta)
             angles = np.unique(np.append(angles, null_theta))
@@ -349,8 +349,8 @@ def choose_directions(cfg, gains, h_ba, h_ca, h_cw, zeta1=None, thetas=33):
     theta, q_c, _ = best
     env = env_from_vectors(cfg, gains, h_ba, h_ca, h_cw, theta)
     decision = dataclasses.replace(decision_at(env, q_c), theta=theta)
-    return DirectionDecision(u_b=u_b, u_c=_beam(e1, e2, theta), theta=theta,
-                             decision=decision, env=env)
+    return DirectionDecision(u_b=u_b, u_c=_beam(e1, e2, theta),
+                             decision=decision)
 
 
 @dataclass(frozen=True)

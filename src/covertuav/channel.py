@@ -3,8 +3,10 @@
 Air links (ground user -> UAV) are Rician with distance-power-law large-scale
 gain `a² = lambda0 * d^xi` where d is the 3-D distance through altitude H.
 Ground links (user -> adversary) are Rayleigh with `a² = eta0 * lambda0 * d^xi`
-over the horizontal distance. The "effective isotropic power" of an N-antenna
-link is `g = N * a²` (the mean of ‖h‖² over fading).
+over the horizontal distance. A gain table (`ChannelGains`) holds only these
+per-antenna gains; the full-trace gain N·a² of an N-antenna link (the mean
+of ‖h‖² over fading) is applied where the slot model is built
+(`kernels.slot_env`).
 
 All gains are linear power ratios; positions are metres.
 """
@@ -55,48 +57,33 @@ def ground_large_scale(cfg: ScenarioConfig, dist, xi):
 
 @dataclass(frozen=True)
 class ChannelGains:
-    """Large-scale gains along a flight path.
+    """Per-antenna large-scale gains along a flight path.
 
     Air-side arrays are indexed by slot (same length as the position stack
     or slack arrays they were built from); ground-side gains are scalars
     (the adversary and the users do not move).
     """
 
-    mu_ba: np.ndarray   # squared horizontal UAV-to-secret-user distances
-    mu_ca: np.ndarray   # squared horizontal UAV-to-covert-user distances
-    a2_ba: np.ndarray   # per-antenna air gains, secret user -> UAV
-    a2_ca: np.ndarray   # per-antenna air gains, covert user -> UAV
-    a2_bw: float        # per-antenna ground gain, secret user -> adversary
-    a2_cw: float        # per-antenna ground gain, covert user -> adversary
-    g_ba: np.ndarray    # effective isotropic powers N_b * a2_ba
-    g_ca: np.ndarray    # N_c * a2_ca
-    g_bw: float         # N_b * a2_bw
-    g_cw: float         # N_c * a2_cw
+    a2_ba: np.ndarray   # air gains, secret user -> UAV
+    a2_ca: np.ndarray   # air gains, covert user -> UAV
+    a2_bw: float        # ground gain, secret user -> adversary
+    a2_cw: float        # ground gain, covert user -> adversary
 
     def __post_init__(self):
-        for nm in ("mu_ba", "mu_ca", "a2_ba", "a2_ca", "g_ba", "g_ca"):
+        for nm in ("a2_ba", "a2_ca"):
             getattr(self, nm).setflags(write=False)
 
 
 def gains_for_slacks(cfg: ScenarioConfig, mu_ba, mu_ca) -> ChannelGains:
     """Evaluate all large-scale gains at squared horizontal UAV-to-user
     distances (scalars or per-slot arrays)."""
-    # copies: the table freezes its arrays, and must not freeze the caller's
-    mu_ba = np.array(mu_ba, dtype=float)
-    mu_ca = np.array(mu_ca, dtype=float)
     a2_ba = air_large_scale(cfg, mu_ba, cfg.xi_ba)
     a2_ca = air_large_scale(cfg, mu_ca, cfg.xi_ca)
     d_bw = float(np.hypot(cfg.l_b[0] - cfg.l_w[0], cfg.l_b[1] - cfg.l_w[1]))
     d_cw = float(np.hypot(cfg.l_c[0] - cfg.l_w[0], cfg.l_c[1] - cfg.l_w[1]))
     a2_bw = ground_large_scale(cfg, d_bw, cfg.xi_bw)
     a2_cw = ground_large_scale(cfg, d_cw, cfg.xi_cw)
-    return ChannelGains(
-        mu_ba=mu_ba, mu_ca=mu_ca,
-        a2_ba=a2_ba, a2_ca=a2_ca,
-        a2_bw=a2_bw, a2_cw=a2_cw,
-        g_ba=cfg.n_b * a2_ba, g_ca=cfg.n_c * a2_ca,
-        g_bw=cfg.n_b * a2_bw, g_cw=cfg.n_c * a2_cw,
-    )
+    return ChannelGains(a2_ba=a2_ba, a2_ca=a2_ca, a2_bw=a2_bw, a2_cw=a2_cw)
 
 
 def gains_for_positions(cfg: ScenarioConfig, positions) -> ChannelGains:

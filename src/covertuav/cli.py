@@ -147,8 +147,9 @@ def cmd_metrics_sweep(cfg, figure, outdir):
 # rate-vs-power
 
 
-def cmd_rate_vs_power(cfg, mode, outdir, num=10_001):
-    """Write the weighted slot rate against the swept transmit power.
+def cmd_rate_vs_power(cfg, mode, outdir):
+    """Write the weighted slot rate against the swept transmit power, on
+    a 10 001-point grid.
 
     Mode h1 sweeps the covert power over its feasible interval (the grid is
     fine enough to localize the maximizer to the bisection tolerance);
@@ -161,12 +162,12 @@ def cmd_rate_vs_power(cfg, mode, outdir, num=10_001):
     name = f"rate_vs_power_{mode}.csv"
 
     if mode == "h1":
-        grid = np.linspace(0.0, env.q_c_feasible, num)
+        grid = np.linspace(0.0, env.q_c_feasible, 10_001)
         rows = list(zip(grid.tolist(), np.asarray(env.rate(grid)).tolist()))
         write_atomic_csv(os.path.join(outdir, name), ("q_c", "rate"), rows)
         return [name]
 
-    grid = np.linspace(1e-6 * cfg.q_b_max_w, cfg.q_b_max_w, num)
+    grid = np.linspace(1e-6 * cfg.q_b_max_w, cfg.q_b_max_w, 10_001)
     rate = kernels.h0_slot(grid, env).rate
     rows = list(zip(grid.tolist(), rate.tolist()))
     write_atomic_csv(os.path.join(outdir, name), ("q_b", "rate"), rows)

@@ -118,14 +118,16 @@ def _coupled_powers(q_c, env):
 
 
 def slot_env(cfg, gains, slot=None):
-    """Isotropic slot environment of scenario cfg on the gain table `gains`
-    (`channel.ChannelGains`): the table's per-slot air gains, or with a
-    slot index that slot's scalars."""
-    c_ba, c_ca = gains.g_ba, gains.g_ca
+    """Isotropic slot environment of scenario cfg on the per-antenna gain
+    table `gains` (`channel.ChannelGains`), per slot or, with a slot index,
+    that slot's scalars. Every link carries its full-trace gain N·a²: the
+    one place the antenna counts enter the slot model."""
+    c_ba, c_ca = cfg.n_b * gains.a2_ba, cfg.n_c * gains.a2_ca
     if slot is not None:
         c_ba, c_ca = float(c_ba[slot]), float(c_ca[slot])
     return SlotEnv(
-        c_ba=c_ba, c_ca=c_ca, c_cw=float(gains.g_cw), g_bw=float(gains.g_bw),
+        c_ba=c_ba, c_ca=c_ca, c_cw=float(cfg.n_c * gains.a2_cw),
+        g_bw=float(cfg.n_b * gains.a2_bw),
         q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
         sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w, eta_s=cfg.eta_s,
         kappa=cfg.kappa, r_t=float(cfg.r_t), r_c=float(cfg.r_c))

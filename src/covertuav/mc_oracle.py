@@ -328,7 +328,7 @@ def mc_scp_h1(cfg, gains, beamformers, samples=100_000, seed=0, slot=0):
     w_b, w_c = (np.asarray(w, dtype=complex) for w in beamformers)
     if w_b.shape != (cfg.n_b,) or w_c.shape != (cfg.n_c,):
         raise ValueError("beamformer shapes must match the antenna counts")
-    p_ba = float(np.vdot(w_b, w_b).real) * gains.g_ba[slot]
+    p_ba = float(np.vdot(w_b, w_b).real) * (cfg.n_b * gains.a2_ba[slot])
     gamma, sigma, a2 = 2.0 ** cfg.r_t - 1.0, cfg.sigma_a2_w, gains.a2_ca[slot]
 
     def event(rng, n):   # K = 0: Rayleigh

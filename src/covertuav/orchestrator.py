@@ -7,17 +7,18 @@ the exact per-slot power search, so it maximizes V(plan) = mean over slots
 of max_q R_s: the paper's two-block scheme with the power block solved at
 every trial plan and the trajectory block one SCA step. A step lands only
 if V does not decrease, so the trace is nondecreasing, and the loop stops
-once a step moves V by less than the configured tolerance. The
+once a step moves V by less than the scenario's `bcd_tol`. The
 fixed-beamformer baseline (`run_sotfb`) pins every slot's covert power at
 the cap, and the covert-user-silent benchmark (`run_h0_benchmark`)
-evaluates the covert-silent slot model.
+evaluates the covert-silent slot model. Every run returns the loop's own
+record, a `trajectory.ScaResult`: plan, decision table, objective trace,
+iteration count, convergence flag and error.
 
 Also here: the weight-sweep frontier and the run artifacts.
 """
 
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,52 +27,21 @@ from . import beamform, channel, kernels, scenario, trajectory
 from ._csvio import write_atomic_csv
 
 __all__ = [
-    "BcdTrace", "run_bcd", "run_h0_benchmark", "run_sotfb",
+    "run_bcd", "run_h0_benchmark", "run_sotfb",
     "ParetoRow", "pareto_sweep",
-    "write_trace_csv", "write_pareto_csv", "write_run_artifacts",
+    "write_trace_csv", "write_run_artifacts",
 ]
 
 
-@dataclass(frozen=True)
-class BcdTrace:
-    """Outcome of one planner run.
-
-    objectives[0] is the starting plan's mean rate at its slot powers
-    (for the joint run, the searched ones), and one more entry lands per
-    accepted refinement step; iterations counts refinement iterations.
-    decisions is the final per-slot design table (`beamform.SlotDecisions`)
-    and plan the final flight path. error is None unless a call failed:
-    then the last accepted iterate is returned with a message naming the
-    iteration and the call ("round 3, power search: ...").
-    """
-
-    objectives: list
-    decisions: beamform.SlotDecisions
-    plan: trajectory.TrajectoryPlan
-    iterations: int
-    wall_time: float
-    converged: bool
-    error: str = None
-
-    @property
-    def q_c(self):
-        """Per-slot covert powers (the decision table's q_c column)."""
-        return self.decisions.q_c
-
-    @property
-    def objective(self):
-        return self.objectives[-1]
-
-
-def _run(cfg, policy, max_iters, tol):
-    """One planner run under the covert-power policy `policy`.
+def _run(cfg, policy, max_iters):
+    """One planner run under the covert-power policy `policy`; returns the
+    loop's `trajectory.ScaResult`.
 
     "search" values every plan at the exact per-slot power search (zero
     if it fails at the starting plan). "pinned" fixes every slot at the
     q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
     "silent" at zero with the covert-silent slot model.
     """
-    start = time.perf_counter()
     plan = trajectory.initial_plan(cfg)
     q_c = np.zeros(plan.n_slots)
     power = None
@@ -82,26 +52,17 @@ def _run(cfg, policy, max_iters, tol):
         def power(p):
             gains = channel.gains_for_positions(cfg, p.comm_positions)
             return beamform.bsa_slots(cfg, gains).q_c
-    h0 = policy == "silent"
-    sca = trajectory.sca_trajectory(plan, q_c, cfg, h0=h0, tol=tol,
-                                    max_iters=max_iters, power=power)
-    env = kernels.slot_env(
-        cfg, channel.gains_for_positions(cfg, sca.plan.comm_positions))
-    decisions = (beamform.h0_decision(env) if h0
-                 else beamform.decision_at(env, sca.q_c))
-    return BcdTrace(objectives=sca.objectives, decisions=decisions,
-                    plan=sca.plan, iterations=sca.iterations,
-                    wall_time=time.perf_counter() - start,
-                    converged=sca.converged, error=sca.error)
+    return trajectory.sca_trajectory(plan, q_c, cfg, h0=policy == "silent",
+                                     max_iters=max_iters, power=power)
 
 
-def run_bcd(cfg, max_iters=50, tol=None):
+def run_bcd(cfg, max_iters=50):
     """Refine the flight path, each plan at its searched slot powers,
     until the mean weighted rate stalls."""
-    return _run(cfg, "search", max_iters, tol)
+    return _run(cfg, "search", max_iters)
 
 
-def run_h0_benchmark(cfg, max_iters=50, tol=None):
+def run_h0_benchmark(cfg, max_iters=50):
     """Trajectory-only run with the covert user silent.
 
     The secret user transmits at full power (nothing to search) and only
@@ -109,13 +70,13 @@ def run_h0_benchmark(cfg, max_iters=50, tol=None):
     contribution is identically zero and the outage cap is honored by
     construction.
     """
-    return _run(cfg, "silent", max_iters, tol)
+    return _run(cfg, "silent", max_iters)
 
 
-def run_sotfb(cfg, max_iters=50, tol=None):
+def run_sotfb(cfg, max_iters=50):
     """Trajectory-only baseline: every slot keeps its covert power pinned at
     the cap (uniform unit directions) and only the flight path is refined."""
-    return _run(cfg, "pinned", max_iters, tol)
+    return _run(cfg, "pinned", max_iters)
 
 
 @dataclass(frozen=True)
@@ -134,7 +95,7 @@ def _frontier_components(cfg, trace):
     return float(np.mean(d.scp * d.r_s)), float(np.mean(d.ccp * cfg.r_c))
 
 
-def pareto_sweep(cfg, kappas, max_iters=50, tol=None):
+def pareto_sweep(cfg, kappas, max_iters=50):
     """Run the joint planner per weight and tabulate (kappa, Phi_s, Phi_c).
 
     A failed run lands in the table with its error message; the sweep
@@ -149,7 +110,7 @@ def pareto_sweep(cfg, kappas, max_iters=50, tol=None):
             continue
         alt = scenario.with_overrides(cfg, kappa=float(k))
         try:
-            trace = run_bcd(alt, max_iters=max_iters, tol=tol)
+            trace = run_bcd(alt, max_iters=max_iters)
             phi_s, phi_c = _frontier_components(alt, trace)
             rows.append(ParetoRow(kappa=float(k), phi_s=phi_s, phi_c=phi_c,
                                   error=trace.error))
@@ -164,22 +125,16 @@ def pareto_sweep(cfg, kappas, max_iters=50, tol=None):
 # run artifacts
 
 def write_trace_csv(path, trace):
-    """Objective per `BcdTrace.objectives` entry (entry 0 is the starting
-    point)."""
+    """Objective per `trajectory.ScaResult.objectives` entry (entry 0 is
+    the starting point)."""
     write_atomic_csv(path, ("iteration", "objective"),
                      list(enumerate(trace.objectives)))
 
 
-def write_pareto_csv(path, rows):
-    write_atomic_csv(path, ("kappa", "phi_s", "phi_c", "error"),
-                     [(r.kappa, r.phi_s, r.phi_c, r.error or "")
-                      for r in rows])
-
-
-def write_run_artifacts(outdir, cfg, trace, pareto_rows=None):
-    """Write trace.csv, beamformers.csv, trajectory.csv, the config
-    snapshot, and (when given) pareto.csv under one directory; returns the
-    names of the files written."""
+def write_run_artifacts(outdir, cfg, trace):
+    """Write trace.csv, beamformers.csv, trajectory.csv and the config
+    snapshot of a finished run under one directory; returns the names of
+    the files written."""
     os.makedirs(outdir, exist_ok=True)
     names = []
 
@@ -191,6 +146,4 @@ def write_run_artifacts(outdir, cfg, trace, pareto_rows=None):
     beamform.write_decisions_csv(path("beamformers.csv"), trace.decisions)
     trajectory.write_plan_csv(path("trajectory.csv"), trace.plan)
     scenario.save_scenario(cfg, path("config.yaml"))
-    if pareto_rows is not None:
-        write_pareto_csv(path("pareto.csv"), pareto_rows)
     return names

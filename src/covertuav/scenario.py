@@ -191,8 +191,6 @@ class ScenarioConfig:
 # (field, file key, unit, file default) of every field but `name`
 _FILE_FIELDS = tuple((f.name, f.metadata["key"], f.metadata["unit"], f.default)
                      for f in dataclasses.fields(ScenarioConfig) if f.metadata)
-_COUNTS = tuple((name, key) for name, key, unit, _ in _FILE_FIELDS
-                if unit is _COUNT)
 
 
 def _require(cond: bool, msg: str):
@@ -200,11 +198,25 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _is_number(v, kind=numbers.Real):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _validate(c: ScenarioConfig):
-    for name, key in _COUNTS:
+    # each field holds what its unit class loads (a free terminal speed is
+    # None); the messages name the file key
+    for name, key, unit, _ in _FILE_FIELDS:
         v = getattr(c, name)
-        _require(isinstance(v, numbers.Integral) and not isinstance(v, bool),
-                 f"{key} must be an integer, got {v!r}")
+        if unit is _COUNT:
+            _require(_is_number(v, numbers.Integral),
+                     f"{key} must be an integer, got {v!r}")
+        elif unit is _PAIR:
+            _require(isinstance(v, tuple) and len(v) == 2,
+                     f"{key} must be a pair of coordinates, got {v!r}")
+            for x in v:
+                _require(_is_number(x), f"{key} must be a number, got {x!r}")
+        elif not (unit is _FREE_SPEED and v is None):
+            _require(_is_number(v), f"{key} must be a number, got {v!r}")
     _require(c.n_b >= 1, f"n_b_antennas must be >= 1, got {c.n_b}")
     _require(c.n_c >= 1, f"n_c_antennas must be >= 1, got {c.n_c}")
     _require(c.q_b_max_w > 0, f"q_b_max must be positive, got {c.q_b_max_w} W")
@@ -222,10 +234,6 @@ def _validate(c: ScenarioConfig):
     _require(c.k_ca >= 0, f"k_ca must be >= 0, got {c.k_ca}")
     for nm in ("xi_ba", "xi_ca", "xi_bw", "xi_cw"):
         _require(getattr(c, nm) < 0, f"{nm} must be negative, got {getattr(c, nm)}")
-    for nm in ("l_b", "l_c", "l_w", "l_start", "l_end"):
-        v = getattr(c, nm)
-        _require(isinstance(v, tuple) and len(v) == 2,
-                 f"{nm}_m must be a pair of coordinates, got {v!r}")
     _require(c.l_start != c.l_end,
              "l_start_m and l_end_m must differ (the flight needs a ferry direction)")
     for nm in ("l_b", "l_c"):

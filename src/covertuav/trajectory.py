@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, kernels
+from . import beamform, channel, kernels
 from ._csvio import write_atomic_csv
 
 __all__ = [
@@ -198,14 +198,13 @@ def initial_plan(cfg):
 def _slot_model(mu_ba, mu_ca, q_c, cfg, h0, grad):
     """Slot rates at the slacks (`kernels.h1_slot`, or `kernels.h0_slot`
     with h0) and, with grad, their partials in the slacks."""
-    gains = channel.gains_for_slacks(cfg, mu_ba, mu_ca)
-    env = kernels.slot_env(cfg, gains)
+    env = kernels.slot_env(cfg, channel.gains_for_slacks(cfg, mu_ba, mu_ca))
     chain = None
     if grad:
         # the air gains go as (H^2 + mu)^(xi/2): d ln g / d mu = xi/(2(H^2 + mu))
         h2 = cfg.h_m ** 2
-        chain = (cfg.xi_ba / (2.0 * (h2 + gains.mu_ba)),
-                 cfg.xi_ca / (2.0 * (h2 + gains.mu_ca)))
+        chain = (cfg.xi_ba / (2.0 * (h2 + mu_ba)),
+                 cfg.xi_ca / (2.0 * (h2 + mu_ca)))
     if h0:
         t = kernels.h0_slot(env.q_b_max, env,
                             chain=chain[0] if grad else None)
@@ -711,7 +710,9 @@ def solve_subproblem(lin, plan_ref, cfg):
 
 @dataclass(frozen=True)
 class ScaResult:
-    """Refined plan, its slot powers and the accepted true-objective trace.
+    """One planner run: the refined plan, its per-slot design table
+    (`beamform.SlotDecisions`) and the accepted true-objective trace, which
+    starts at plan0's value and gains one entry per accepted step.
 
     error is None unless a call failed; the result then holds the last
     accepted plan and names the iteration and the call ("round 3,
@@ -719,15 +720,23 @@ class ScaResult:
     """
 
     plan: TrajectoryPlan
-    q_c: np.ndarray
+    decisions: beamform.SlotDecisions
     objectives: list
     converged: bool
     iterations: int
     error: str = None
 
+    @property
+    def q_c(self):
+        """Per-slot covert powers (the decision table's q_c column)."""
+        return self.decisions.q_c
 
-def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60,
-                   power=None):
+    @property
+    def objective(self):
+        return self.objectives[-1]
+
+
+def sca_trajectory(plan0, q_c, cfg, h0=False, max_iters=60, power=None):
     """Iteratively linearize and re-solve until the mean rate stalls.
 
     q_c holds the slot powers of plan0. power, when given, maps a plan to
@@ -744,10 +753,11 @@ def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60,
     blend weights), so the recorded objective trace is nondecreasing. A
     blend is accepted only if it passes `TrajectoryPlan.check_feasible` at
     tolerance 1e-9, so every plan it accepts flies the kinematics from
-    l_start onto l_end inside the speed and acceleration boxes.
+    l_start onto l_end inside the speed and acceleration boxes. The loop
+    stops once a step gains less than `cfg.bcd_tol`, and tabulates the
+    final plan at its powers (`beamform.decision_at`, or with h0
+    `beamform.h0_decision`).
     """
-    if tol is None:
-        tol = cfg.bcd_tol
     q = np.broadcast_to(np.asarray(q_c, dtype=float), (plan0.n_slots,))
     if power is None:
         def power(plan):
@@ -786,7 +796,7 @@ def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60,
                 break
             ref, q, new_obj = accepted
             trace.append(new_obj)
-            if new_obj - obj < tol:
+            if new_obj - obj < cfg.bcd_tol:
                 converged = True
                 break
             obj = new_obj
@@ -796,8 +806,12 @@ def sca_trajectory(plan0, q_c, cfg, h0=False, tol=None, max_iters=60,
                  f"{type(exc).__name__}: {exc}")
         if not trace:
             trace.append(trajectory_objective(ref, q, cfg, h0=h0))
-    return ScaResult(plan=ref, q_c=q, objectives=trace, converged=converged,
-                     iterations=iterations, error=error)
+    env = kernels.slot_env(
+        cfg, channel.gains_for_positions(cfg, ref.comm_positions))
+    decisions = (beamform.h0_decision(env) if h0
+                 else beamform.decision_at(env, q))
+    return ScaResult(plan=ref, decisions=decisions, objectives=trace,
+                     converged=converged, iterations=iterations, error=error)
 
 
 _PLAN_COLUMNS = ("slot", "x", "y", "speed", "accel")

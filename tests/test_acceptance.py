@@ -33,7 +33,7 @@ def slot0(cfg):
 @pytest.fixture(scope="module")
 def bcd130(cfg):
     start = time.perf_counter()
-    trace = orchestrator.run_bcd(cfg, tol=cfg.bcd_tol, max_iters=50)
+    trace = orchestrator.run_bcd(cfg, max_iters=50)
     return trace, time.perf_counter() - start
 
 

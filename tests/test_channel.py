@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from covertuav import channel
+from covertuav import channel, kernels
 from covertuav.rng import make_rng
 from covertuav.scenario import bundled_scenario, with_overrides
 
@@ -76,15 +76,17 @@ def test_ground_gain_zero_distance_rejected(cfg):
 def test_gains_for_positions_reference_slot(cfg, gains0):
     # first comm position of the nominal ferry line is (0, 0)
     mu_b = channel.squared_horizontal_distance((0.0, 0.0), cfg.l_b)
-    assert gains0.mu_ba[0] == pytest.approx(mu_b, rel=1e-12)
+    assert gains0.a2_ba[0] == pytest.approx(
+        channel.air_large_scale(cfg, mu_b, cfg.xi_ba), rel=1e-12)
     assert gains0.a2_ba[0] == pytest.approx(5.882352941176471e-07, rel=1e-12)
     assert gains0.a2_ca[0] == pytest.approx(9.756097560975609e-07, rel=1e-12)
     assert gains0.a2_bw == pytest.approx(3.5355339059327376e-09, rel=1e-12)
-    # array gains scale the per-antenna values by the element counts
-    assert gains0.g_ba[0] == pytest.approx(cfg.n_b * gains0.a2_ba[0], rel=1e-14)
-    assert gains0.g_ca[0] == pytest.approx(cfg.n_c * gains0.a2_ca[0], rel=1e-14)
-    assert gains0.g_bw == pytest.approx(7.071067811865476e-09, rel=1e-12)
-    assert gains0.g_cw == pytest.approx(1.0245260037354589e-09, rel=1e-12)
+    # the slot model scales the per-antenna gains by the element counts
+    env = kernels.slot_env(cfg, gains0, 0)
+    assert env.c_ba == cfg.n_b * gains0.a2_ba[0]
+    assert env.c_ca == cfg.n_c * gains0.a2_ca[0]
+    assert env.g_bw == pytest.approx(7.071067811865476e-09, rel=1e-12)
+    assert env.c_cw == pytest.approx(1.0245260037354589e-09, rel=1e-12)
 
 
 def test_gain_table_is_write_locked(gains0):
@@ -143,7 +145,7 @@ def test_draw_fading_shapes_and_scale(cfg, gains0):
     assert d.h_cw.shape == (40_000, cfg.n_c)
     # the drawn channel's mean squared norm matches the array gain
     g_hat = np.mean(np.sum(np.abs(d.h_ba) ** 2, axis=1))
-    assert g_hat == pytest.approx(gains0.g_ba[0], rel=0.03)
+    assert g_hat == pytest.approx(cfg.n_b * gains0.a2_ba[0], rel=0.03)
 
 
 def test_draw_fading_slot_out_of_range(cfg, gains0):
@@ -155,5 +157,9 @@ def test_antenna_count_changes_gain_table(cfg, plan0):
     wide = with_overrides(cfg, n_b=4, n_c=4)
     g = channel.gains_for_positions(wide, plan0.comm_positions)
     base = channel.gains_for_positions(cfg, plan0.comm_positions)
-    assert g.g_ba[0] == pytest.approx(2.0 * base.g_ba[0], rel=1e-12)
-    assert g.g_bw == pytest.approx(2.0 * base.g_bw, rel=1e-12)
+    # the table is per antenna; the slot model's full-trace gains double
+    assert np.array_equal(g.a2_ba, base.a2_ba) and g.a2_bw == base.a2_bw
+    env, env_base = (kernels.slot_env(c, t, 0)
+                     for c, t in ((wide, g), (cfg, base)))
+    assert env.c_ba == pytest.approx(2.0 * env_base.c_ba, rel=1e-12)
+    assert env.g_bw == pytest.approx(2.0 * env_base.g_bw, rel=1e-12)

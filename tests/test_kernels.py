@@ -92,8 +92,9 @@ def test_kernel_matches_slot_env_rate(cfg, overrides):
     env = beamform.slot_env(cfg, gains0, 0)
     q = np.linspace(0.0, env.q_c_feasible, 64)
     direct = kernels.slot_rate_curve(q, kernels.SlotEnv(
-        c_ba=float(gains0.g_ba[0]), c_ca=float(gains0.g_ca[0]),
-        c_cw=float(gains0.g_cw), g_bw=float(gains0.g_bw),
+        c_ba=float(cfg.n_b * gains0.a2_ba[0]),
+        c_ca=float(cfg.n_c * gains0.a2_ca[0]),
+        c_cw=float(cfg.n_c * gains0.a2_cw), g_bw=float(cfg.n_b * gains0.a2_bw),
         q_b_max=cfg.q_b_max_w, q_c_max=cfg.q_c_max_w,
         sigma_a2=cfg.sigma_a2_w, sigma_w2=cfg.sigma_w2_w, eta_s=cfg.eta_s,
         kappa=cfg.kappa, r_t=cfg.r_t, r_c=cfg.r_c))
@@ -101,7 +102,7 @@ def test_kernel_matches_slot_env_rate(cfg, overrides):
 
     rng = np.random.default_rng(11)
     eta = cfg.eta_s
-    for slot in map(int, rng.integers(0, len(gains0.g_ba), 24)):
+    for slot in map(int, rng.integers(0, len(gains0.a2_ba), 24)):
         base = beamform.slot_env(cfg, gains0, slot)
         for env in (base, dataclasses.replace(base, r_t=0.0),
                     dataclasses.replace(base, r_c=0.0)):

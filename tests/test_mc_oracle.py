@@ -288,7 +288,7 @@ def test_mc_scp_h1_matches_closed_form_at_slot(cfg, gains0):
     est = mc.mc_scp_h1(cfg, gains0, (w_b, math.sqrt(q_c) * w_c),
                        samples=100_000, seed=8)
     # mean interference power of the drawn Rayleigh vector channel
-    p_ba = gains0.g_ba[0]
+    p_ba = cfg.n_b * gains0.a2_ba[0]
     p_ca = gains0.a2_ca[0] * q_c
     closed = sm.scp_h1(p_ba, p_ca, cfg.sigma_a2_w, cfg.r_t)
     assert est.agrees_with(closed)

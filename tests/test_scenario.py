@@ -125,6 +125,16 @@ def test_config_is_immutable():
     ("n_b", True, "n_b_antennas must be an integer, got True"),
     ("n_c", np.float64(2.0), "n_c_antennas must be an integer"),
     ("m_samples", 99.5, "m_samples must be an integer, got 99.5"),
+    # every other value is a real number (not a bool) or, for a free
+    # terminal speed, None; a pair's message names the bad coordinate
+    ("h_m", "abc", "^h_m must be a number, got 'abc'$"),
+    ("t_s", "10", "^t_s must be a number, got '10'$"),
+    ("kappa", None, "^kappa must be a number, got None$"),
+    ("h_m", True, "^h_m must be a number, got True$"),
+    ("v_start", None, "^v_start_mps must be a number, got None$"),
+    ("q_b_max_w", [1.0], r"^q_b_max_dbm must be a number, got \[1.0\]$"),
+    ("l_b", (1, "x"), "^l_b_m must be a number, got 'x'$"),
+    ("l_start", (0.0, False), "^l_start_m must be a number, got False$"),
 ])
 def test_named_rejections(field, value, needle):
     """Every invalid field raises with a message naming the field."""

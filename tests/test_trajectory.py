@@ -698,11 +698,11 @@ def test_sca_horizon_ordering(cfg):
     """A longer loiter window can only improve the refined mean rate."""
     short = bundled_scenario("paper_t100")
     plan_s = trajectory.initial_plan(short)
-    res_s = trajectory.sca_trajectory(plan_s, Q_STAR, short, tol=1e-3,
-                                      max_iters=20)
+    res_s = trajectory.sca_trajectory(
+        plan_s, Q_STAR, with_overrides(short, bcd_tol=1e-3), max_iters=20)
     plan_l = trajectory.initial_plan(cfg)
-    res_l = trajectory.sca_trajectory(plan_l, Q_STAR, cfg, tol=1e-3,
-                                      max_iters=20)
+    res_l = trajectory.sca_trajectory(
+        plan_l, Q_STAR, with_overrides(cfg, bcd_tol=1e-3), max_iters=20)
     assert res_l.objectives[-1] >= res_s.objectives[-1] - 1e-9
 
 
