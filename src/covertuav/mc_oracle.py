@@ -1,19 +1,21 @@
 """Monte Carlo validation of the closed-form security metrics.
 
-Every estimator here rebuilds its probability event from raw complex-Gaussian
-draws (standard normals scaled by the link powers) and counts successes; none
-of them evaluate the closed-form expressions.
+Every estimator here rebuilds its probability event from raw random draws
+and counts successes; none of them evaluate the closed-form expressions.
+A Rayleigh link's received power |h|^2 with h ~ CN(0, p) is exponential
+with mean p, so the five link estimators draw each faded power directly
+from that law (`_exp_power`). The vector-channel estimator (`mc_scp_h1`)
+draws the complex channel vectors themselves, and the radiometer
+simulation (`mc_dep`) draws complex Gaussian symbols.
 
 Every estimator counts through one chunked counter (`_count_hits`): chunk
 w of the samples draws from `make_rng(seed, worker=w)`, and the chunks are
 counted on the CPUs the process may use, the calling thread taking every
 k-th one and a shared pool of helper threads the rest. Counts are summed as
 integers, so every estimate is bit-identical to the serial loop's whatever
-the CPU count and the order in which chunks finish. Draws are streamed in
-fixed-size blocks, so a chunk in flight holds little more than its output.
-The agreement sweep keys each row with `_row_seed`, a hash of the base seed
-and the row index, so no row replays another row's stream at a nearby base
-seed.
+the CPU count and the order in which chunks finish. The agreement sweep
+keys each row with `_row_seed`, a hash of the base seed and the row index,
+so no row replays another row's stream at a nearby base seed.
 """
 
 import math
@@ -138,23 +140,10 @@ def _estimate(event, samples, seed):
 
 
 def _exp_power(rng, mean, n):
-    """n draws of |z|^2 with z complex Gaussian of variance `mean`.
-
-    The n real parts are drawn at once and the n imaginary parts in blocks
-    of `_BLOCK` through one buffer. A Generator's stream does not depend on
-    the call sizes, so this is (0.5*mean)*(re*re + im*im) of one-shot draws
-    bit for bit: the same operations in the same order.
-    """
-    out = rng.standard_normal(n)
-    out *= out
-    buf = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        part = out[start:start + _BLOCK]
-        im = buf[:len(part)]
-        rng.standard_normal(out=im)
-        im *= im
-        part += im
-    out *= 0.5 * mean
+    """n draws of |z|^2 with z ~ CN(0, mean), i.e. of the exponential law
+    with mean `mean`, drawn directly from that law."""
+    out = rng.standard_exponential(n)
+    out *= mean
     return out
 
 

@@ -89,12 +89,28 @@ def _pair(key, v):
     return (_number(key, v[0]), _number(key, v[1]))
 
 
+def _logarithmic(to_linear, from_linear):
+    """A unit stored as a logarithm of the linear value. A value is saved as
+    the shortest rounding of from_linear(x) that loads back to x, so a loaded
+    scenario saves as its file's digits and save/load is a fixed point."""
+
+    def save(x):
+        y = from_linear(x)
+        for digits in range(1, 18):
+            short = float(f"{y:.{digits}g}")
+            if to_linear(short) == x:
+                return short
+        return y
+
+    return _Unit(lambda key, v: to_linear(_number(key, v)), save)
+
+
 _NUM = _Unit(_number)
 _COUNT = _Unit(_count, int)
-_DBM = _Unit(lambda key, v: dbm_to_watt(_number(key, v)), watt_to_dbm)
+_DBM = _logarithmic(dbm_to_watt, watt_to_dbm)
 # a zero Rician factor (pure Rayleigh fading) is saved as -inf dB
-_DB = _Unit(lambda key, v: db_to_linear(_number(key, v)),
-           lambda x: linear_to_db(x) if x > 0 else -math.inf)
+_DB = _logarithmic(db_to_linear,
+                   lambda x: linear_to_db(x) if x > 0 else -math.inf)
 _PAIR = _Unit(_pair, list)
 # speeds default to the straight-ferry cruise speed; a free terminal speed
 # is None here and "free" in the file

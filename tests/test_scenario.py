@@ -161,21 +161,40 @@ def test_file_counts_accept_integral_numbers(value):
     assert c.n_slots == 130 and type(c.n_slots) is int
 
 
-@pytest.mark.parametrize("name,source", [
-    ("paper_default", "bundled"),
-    ("paper_t100", "bundled"),
-    ("baselines_s1", "file"),
-])
+# the bundled scenarios and the benchmark's jittered 260-slot scenario
+SAVED = [("paper_default", "bundled"),
+         ("paper_t100", "bundled"),
+         ("baselines_s1", "file")]
+
+
+def _saved_source(name, source):
+    return (bundled_scenario(name) if source == "bundled"
+            else load_scenario(os.path.join(DATA, f"{name}.yaml")))
+
+
+@pytest.mark.parametrize("name,source", SAVED)
 def test_saved_text_is_pinned(tmp_path, name, source):
-    """save_scenario writes the same bytes for the bundled scenarios and for
-    the benchmark's jittered 260-slot scenario."""
-    c = (bundled_scenario(name) if source == "bundled"
-         else load_scenario(os.path.join(DATA, f"{name}.yaml")))
+    """save_scenario writes the same bytes for each scenario."""
     path = os.path.join(tmp_path, "saved.yaml")
-    save_scenario(c, path)
+    save_scenario(_saved_source(name, source), path)
     with open(path) as fh, \
             open(os.path.join(DATA, f"{name}.saved.yaml")) as want:
         assert fh.read() == want.read()
+
+
+@pytest.mark.parametrize("name,source", SAVED)
+def test_second_save_is_byte_identical(tmp_path, name, source):
+    """Save and load are a fixed point: the saved file loads back to the same
+    scenario, and saving that again writes the same bytes."""
+    c = _saved_source(name, source)
+    first = os.path.join(tmp_path, "first.yaml")
+    second = os.path.join(tmp_path, "second.yaml")
+    save_scenario(c, first)
+    back = load_scenario(first)
+    save_scenario(back, second)
+    assert back == c
+    with open(first) as a, open(second) as b:
+        assert a.read() == b.read()
 
 
 def _full_file_dict():
