@@ -466,7 +466,8 @@ def solve_subproblem(lin, plan_ref, cfg):
     (m, m/s). Raises TrajectoryError when the iteration cap is reached. The
     returned plan is the exact rollout of the solution's accelerations.
     """
-    # imported here, so that only planning runs pay for scipy.linalg
+    # the package's only scipy import, made here so that only planning
+    # runs pay for loading scipy
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     n = plan_ref.n_slots

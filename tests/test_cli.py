@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import yaml
 
+import covertuav
 from covertuav import beamform, channel, cli, scenario, trajectory
 
 
@@ -318,3 +322,38 @@ def test_validate_reports_failures_with_dedicated_exit_code(
     report = (tmp_path / "report.txt").read_text()
     assert "FAIL forced failure" in report
     assert "5/6 checks passed" in report
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_commands_other_than_optimize_load_no_scipy(tmp_path):
+    """scipy is loaded only by the planner's cone solver
+    (`trajectory.solve_subproblem`), so the metric, rate and validation
+    commands run without it; importing the CLI builds no Monte Carlo pool
+    either (concurrent.futures is imported at the pool's first use). Runs
+    in a fresh interpreter, as the test process itself imports scipy."""
+    script = textwrap.dedent("""
+        import sys
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules
+                          if name == "scipy" or name.startswith("scipy."))
+
+        from covertuav import cli
+        assert not scipy_modules(), scipy_modules()
+        assert "concurrent.futures" not in sys.modules
+        out = sys.argv[1]
+        for argv in (["metrics-sweep", "--figure", "dep"], ["rate-vs-power"],
+                     ["validate", "--quick"]):
+            assert cli.main(argv + ["--out", out]) == 0, argv
+            assert not scipy_modules(), (argv, scipy_modules())
+        """)
+    src = os.path.dirname(os.path.dirname(covertuav.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

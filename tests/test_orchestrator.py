@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from covertuav import (beamform, channel, mc_oracle, orchestrator, scenario,
                        secmetrics, trajectory)
@@ -118,8 +119,12 @@ def test_bcd_design_holds_the_secrecy_outage_cap(cfg, bcd_canonical):
         links.append((d.q_b * env.g_bw, d.q_c * env.c_cw, env.sigma_w2, d.r_w))
     worst = max(secmetrics.sop_h1(*link) for link in links)
     assert worst <= cfg.eta_s + 1e-9
-    est = mc_oracle.estimate_sop_h1(*links[0], samples=1_000_000, seed=0)
-    assert est.agrees_with(cfg.eta_s)
+    # exact one-sided binomial test: a design at the cap shows this many
+    # outages or more with probability above 1e-4, and at 6e6 samples one
+    # 2 % over the cap (eta_s = 0.01) fails it
+    est = mc_oracle.estimate_sop_h1(*links[0], samples=6_000_000, seed=0)
+    hits = round(est.estimate * est.n_samples)
+    assert binom.sf(hits - 1, est.n_samples, cfg.eta_s) > 1e-4
 
 
 def test_decision_rows_hold_the_covertness_residual(cfg, bcd_canonical):

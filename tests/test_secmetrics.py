@@ -1,5 +1,6 @@
 """Closed-form security metrics: connection/outage probabilities, the
-radiometer error model, and the redundancy rule."""
+radiometer error model, the redundancy rule, and the numpy special
+functions behind the last two, checked against scipy.special."""
 
 import math
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from covertuav import secmetrics as sm
 from covertuav.secmetrics import DetectionStats
@@ -363,3 +365,96 @@ def test_redundancy_cap_rejects_bad_cap():
         sm.secrecy_redundancy(1e-9, 0.0, 1e-12, 1.0)
     with pytest.raises(ValueError, match="eta_s"):
         sm.secrecy_redundancy(1e-9, 0.0, 1e-12, 0.0)
+
+
+# -- special functions against scipy.special ---------------------------------
+
+
+def test_wright_omega_matches_scipy():
+    """The port gives scipy's values over the whole real line: exp(z) far
+    below 0, the iterated branches in between, z itself above 1e20 (the
+    band near 1e154, where (1 + omega)^2 overflows, included), with no
+    floating-point warning. numpy's exp and log may differ from libm's by
+    an ulp, so agreement is to a few ulps rather than bit for bit."""
+    z = np.concatenate([
+        np.linspace(-745.0, -50.0, 2001), np.linspace(-50.0, 50.0, 20001),
+        -2.0 + np.linspace(-1e-6, 1e-6, 201), 1.0 + np.linspace(-1e-6, 1e-6, 201),
+        np.geomspace(1.0, 1e300, 20001), np.geomspace(1e150, 1e160, 1001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sm._wright_omega(z)
+    want = special.wrightomega(z)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=1e-316)
+    band = z > 1e20
+    assert np.array_equal(got[band], z[band])
+
+
+def test_wright_omega_solves_its_equation():
+    z = np.linspace(-700.0, 700.0, 10001)
+    w = sm._wright_omega(z)
+    assert np.all(np.abs(w + np.log(w) - z) <= 4.5e-16 * np.maximum(1.0, np.abs(z)))
+
+
+def test_wright_omega_limits():
+    got = sm._wright_omega(np.array([np.inf, -np.inf, np.nan, -746.0]))
+    assert got[0] == np.inf and got[1] == 0.0 and np.isnan(got[2])
+    assert got[3] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 50, 100, 199, 500, 1000])
+def test_gamma_tails_match_scipy(m):
+    """Both tails over psi from 1e-6 m to 1e3 m and across the transition
+    at psi = m. Either side carries the conditioning of the pmf
+    exp(-bd0), so the tolerance grows with m; where scipy's tail is below
+    1e-290, both are."""
+    psi = np.concatenate([m * np.geomspace(1e-6, 1e3, 2001),
+                          m + math.sqrt(m) * np.linspace(-8.0, 8.0, 321)])
+    psi = psi[psi >= 0]
+    p, q = sm._gamma_tails(m, psi)
+    for got, want in ((p, special.gammainc(m, psi)),
+                      (q, special.gammaincc(m, psi))):
+        live = want > 1e-290
+        np.testing.assert_allclose(got[live], want[live],
+                                   rtol=1e-13 * (1.0 + math.sqrt(m)))
+        assert np.all(np.abs(got[~live]) < 1e-280)
+    assert np.max(np.abs(p + q - 1.0)) <= 2.0 ** -52
+
+
+def test_gamma_tails_at_the_ends():
+    p, q = sm._gamma_tails(7, np.array([0.0, np.inf, np.nan]))
+    assert p[:2].tolist() == [0.0, 1.0]
+    assert q[:2].tolist() == [1.0, 0.0]
+    assert np.isnan(p[2]) and np.isnan(q[2])
+    assert sm.false_alarm(7, 0.0, 1.0) == 1.0
+    assert sm.missed_detection(7, 0.0, 1.0) == 0.0
+    assert sm.false_alarm(7, np.inf, 1.0) == 0.0
+
+
+def test_gamma_tails_broadcast_over_block_lengths():
+    """An array of m broadcasts against psi, one distinct m at a time."""
+    m = np.array([[1], [10], [10], [1000]])
+    psi = np.array([0.5, 9.0, 900.0, 2000.0])
+    p, q = sm._gamma_tails(m, psi)
+    assert p.shape == q.shape == (4, 4)
+    for row, k in enumerate(m[:, 0]):
+        want_p, want_q = sm._gamma_tails(int(k), psi)
+        np.testing.assert_allclose(p[row], want_p, rtol=1e-15)
+        np.testing.assert_allclose(q[row], want_q, rtol=1e-15)
+    blocks = np.array([1, 10, 100])
+    got = sm.false_alarm(blocks, 1.2, 1.0)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(
+        got, [sm.false_alarm(int(k), 1.2, 1.0) for k in blocks], rtol=1e-15)
+
+
+def test_dep_matches_the_two_tails():
+    """dep evaluates both hypotheses at once; its rates are the ones
+    false_alarm and missed_detection give on their own."""
+    stats = DetectionStats(1.0, 1.7, 1.3, 40)
+    grid = np.geomspace(0.3, 5.0, 257)
+    pf, pm, pe = sm.dep(stats, grid)
+    np.testing.assert_allclose(pf, sm.false_alarm(40, grid, 1.0), rtol=1e-14)
+    np.testing.assert_allclose(pm, sm.missed_detection(40, grid, 1.7),
+                               rtol=1e-14)
+    np.testing.assert_allclose(pe, pf + pm, rtol=0)
