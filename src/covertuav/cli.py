@@ -60,7 +60,7 @@ class RunManifest:
 
     command: str
     scenario: str
-    seed: int
+    seed: int | None    # None for the commands that draw nothing
     outdir: str
     files: tuple
     wall_time_s: float
@@ -345,6 +345,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text):
+    """--seed's type: a non-negative integer, the one key make_rng takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"--seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="covertuav",
                      description="Security-metric curves, slot-rate sweeps, "
@@ -355,7 +363,6 @@ def build_parser():
                              "(default: paper_default)")
     common.add_argument("--out", default=None,
                         help="output directory (default: runs/<command>)")
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metrics-sweep", parents=[common],
@@ -374,6 +381,8 @@ def build_parser():
 
     p = sub.add_parser("validate", parents=[common],
                        help="simulation cross-checks and invariants")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="base seed of every Monte Carlo stream (default: 0)")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--quick", action="store_true",
                    help="cut sample counts (intervals widen to match)")
@@ -421,7 +430,8 @@ def main(argv=None):
 
     manifest = RunManifest(command=args.command,
                            scenario=args.scenario or "paper_default",
-                           seed=args.seed, outdir=outdir, files=tuple(files),
+                           seed=getattr(args, "seed", None), outdir=outdir,
+                           files=tuple(files),
                            wall_time_s=time.perf_counter() - start)
     manifest.write(os.path.join(outdir, "manifest.json"))
     print(f"wrote {len(files)} file(s) + manifest.json under {outdir}")

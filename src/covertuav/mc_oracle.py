@@ -13,9 +13,11 @@ w of the samples draws from `make_rng(seed, worker=w)`, and the chunks are
 counted on the CPUs the process may use, the calling thread taking every
 k-th one and a shared pool of helper threads the rest. Counts are summed as
 integers, so every estimate is bit-identical to the serial loop's whatever
-the CPU count and the order in which chunks finish. The agreement sweep
-keys each row with `_row_seed`, a hash of the base seed and the row index,
-so no row replays another row's stream at a nearby base seed.
+the CPU count and the order in which chunks finish. `make_rng` keys every
+(seed, chunk) pair with its own SeedSequence hash, so nearby base seeds
+draw independent chunks. The agreement sweep gives each row its own integer
+seed, `_row_seed`, a hash of the base seed and the row index, which
+`agreement.csv` records so that any row can be re-run alone.
 """
 
 import math
@@ -263,12 +265,7 @@ def _random_link(rng):
 
 
 def _row_seed(base_seed, idx):
-    """Hash-mixed per-row key so nearby base seeds never share streams.
-
-    The XOR worker scheme keeps chunk keys adjacent by design; rows of the
-    agreement sweep instead need keys spread over the whole key space, or
-    sweeps at nearby base seeds would re-toss the same coins.
-    """
+    """The integer seed of row `idx` of the agreement sweep at `base_seed`."""
     ss = np.random.SeedSequence(entropy=int(base_seed),
                                 spawn_key=(71, int(idx)))
     return int(ss.generate_state(1, np.uint64)[0])

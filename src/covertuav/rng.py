@@ -1,29 +1,25 @@
 """Seedable random number streams.
 
-All randomness in the package flows through Philox counter-based generators
-(`numpy.random.Philox`). Philox is stateless-per-key, so a (seed, stream)
-pair fully determines the sequence: the same seed reproduces the same draws
-on any machine. A worker's key is the base seed XOR the worker index, so
-the streams are not independent across nearby seeds: base seeds s and s'
-share a key whenever s ^ s' is a worker index in use. A four-chunk Monte
-Carlo count (workers 0-3) at any of the seeds 12-15 therefore draws from the
-same four keys, 12-15, and gives the same counts.
+All randomness in the package flows through `make_rng`, the one stream
+rule: Philox counter-based generators (`numpy.random.Philox`) keyed by a
+`numpy.random.SeedSequence` of the seed with the worker index as its spawn
+key. Philox is meant to be keyed by independent keys (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), and the
+SeedSequence hash gives every (seed, worker) pair its own key, so nearby
+seeds share no stream. A (seed, worker) pair fully determines the
+sequence, so the same seed reproduces the same draws on any machine.
 """
 
 import numpy as np
 
-__all__ = ["make_rng", "worker_seed"]
-
-
-def worker_seed(base_seed: int, worker: int = 0) -> int:
-    """Derive the key for worker `worker` from a base seed (base XOR index)."""
-    if base_seed < 0:
-        raise ValueError("base_seed must be non-negative")
-    if worker < 0:
-        raise ValueError("worker must be non-negative")
-    return int(base_seed) ^ int(worker)
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
-    """Return a Philox-backed Generator for (seed, worker)."""
-    return np.random.Generator(np.random.Philox(key=worker_seed(seed, worker)))
+    """Return the Philox-backed Generator of stream `worker` under `seed`.
+
+    Both must be non-negative integers (SeedSequence raises ValueError
+    otherwise).
+    """
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(int(seed), spawn_key=(int(worker),))))

@@ -78,6 +78,27 @@ def test_bad_scenario_file_exits_with_named_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_bad_seed_exits_with_named_config_error(seed, tmp_path, capsys):
+    rc = cli.main(["validate", "--quick", "--seed", seed,
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert "--seed must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--mode", "h0"], ["metrics-sweep", "--figure", "scp"],
+    ["rate-vs-power"]])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(argv, tmp_path, capsys):
+    rc = cli.main(argv + ["--seed", "3", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_of_range_weight_exits_with_config_error(tmp_path):
     rc = cli.main(["optimize", "--mode", "h0", "--kappa", "1.5",
                    "--out", str(tmp_path)])
@@ -90,6 +111,7 @@ def test_default_outdir_is_named_after_command(tmp_path, monkeypatch):
     assert rc == cli.EXIT_OK
     assert os.path.exists(
         os.path.join("runs", "rate-vs-power", "manifest.json"))
+    assert _manifest(os.path.join("runs", "rate-vs-power"))["seed"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +125,7 @@ def test_connection_curves(cfg, tmp_path):
     manifest = _manifest(str(tmp_path))
     assert set(manifest["files"]) == {
         "scp_h0_n2.csv", "scp_h1_n2.csv", "scp_h0_n4.csv", "scp_h1_n4.csv"}
+    assert manifest["seed"] is None
     for name in manifest["files"]:
         arr = _load(tmp_path / name)
         assert arr.dtype.names == ("r_t", "scp")
@@ -230,6 +253,7 @@ def test_optimize_without_covert_user(cfg, tmp_path, capsys):
     manifest = _manifest(str(tmp_path))
     assert set(manifest["files"]) == {"trace.csv", "beamformers.csv",
                                       "trajectory.csv", "config.yaml"}
+    assert manifest["seed"] is None     # planning draws nothing
     for name in manifest["files"]:
         assert os.path.exists(tmp_path / name)
     beam = _load(tmp_path / "beamformers.csv")
@@ -291,6 +315,30 @@ def test_validate_quick_passes(cfg, tmp_path, capsys):
     assert os.path.exists(tmp_path / "agreement.csv")
     manifest = _manifest(str(tmp_path))
     assert set(manifest["files"]) == {"agreement.csv", "report.txt"}
+    assert manifest["seed"] == 0
+
+
+def test_validate_records_its_seed(tmp_path, monkeypatch):
+    """--seed reaches every seeded check and the manifest records it."""
+    seen = []
+
+    def stub_agreement(cfg, seed, samples, report):
+        seen.append(seed)
+        report.append((True, "stub"))
+        return []
+
+    def stub_seeded(seed, *args):
+        seen.append(seed)
+        args[-1].append((True, "stub"))
+
+    monkeypatch.setattr(cli, "_check_agreement", stub_agreement)
+    monkeypatch.setattr(cli, "_check_detector_mc", stub_seeded)
+    monkeypatch.setattr(cli, "_check_threshold_rule", stub_seeded)
+    rc = cli.main(["validate", "--quick", "--seed", "3",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    assert seen == [3, 3, 3]
+    assert _manifest(str(tmp_path))["seed"] == 3
 
 
 def test_validate_low_sample_request_is_config_error(tmp_path, capsys):

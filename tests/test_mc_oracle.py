@@ -1,7 +1,8 @@
 """Monte Carlo estimators used to validate the closed-form metrics.
 
-These tests run the simulations at sizes where the 95% intervals are
-tight enough to be meaningful but the suite stays fast.
+Each seeded closed-form check is an exact binomial test of the hit count,
+run at a size that sees a 2 % error in the closed form where the suite can
+afford it; the others state the error they can see.
 """
 
 import math
@@ -35,7 +36,8 @@ def test_mc_estimate_interval():
 
 
 # Each seeded closed-form check below fails a correct closed form at most
-# _ALPHA of the time, and has the samples to fail one that is 2 % off.
+# _ALPHA of the time, and has the samples to fail one that is 2 % off
+# unless its docstring states the error it can see.
 _ALPHA = 1e-4
 
 
@@ -110,11 +112,14 @@ def test_estimates_are_deterministic_per_seed():
 # -- symbol-level detector simulation -----------------------------------------
 
 def test_mc_dep_exact_anchor():
+    """At m = 1 the anchor's error rates are exactly P_F = 0.25 and
+    P_M = 0.5. 2e5 trials see a 2 % error in P_F (0.005) with power 0.9,
+    and P_e is their sum by construction."""
     stats = DetectionStats(1.0, 2.0, 2.0 * math.log(2.0), 1)
-    pf, pm, pe = mc.mc_dep(stats, trials=40_000, seed=2)
-    assert pf.agrees_with(0.25)
-    assert pm.agrees_with(0.5)
-    assert abs(pe.estimate - 0.75) <= pe.half_width
+    pf, pm, pe = mc.mc_dep(stats, trials=200_000, seed=2)
+    assert _binomial_agrees(pf, 0.25)
+    assert _binomial_agrees(pm, 0.5)
+    assert pe.estimate == pf.estimate + pm.estimate
 
 
 def test_mc_dep_blind_when_variances_match():
@@ -134,12 +139,27 @@ def test_mc_dep_threshold_extremes():
 
 
 def test_mc_dep_matches_closed_form_at_longer_blocks():
-    for m in (10, 100):
+    """At m = 10 (P_F = 0.151, P_M = 0.206) 3.7e5 trials see a 2 % error
+    in either rate with power 0.9. At m = 100 (P_F = 0.0015,
+    P_M = 0.0019) a 2 % error would need 4.4e7 trials; the 2e5 run here
+    sees a 30 % error in P_F and 27 % in P_M with power 0.9."""
+    for m, trials in ((10, 370_000), (100, 200_000)):
         stats = DetectionStats(1.0, 1.8, sm.optimal_threshold(1.0, 1.8), m)
         pf_c, pm_c, _ = sm.dep(stats)
-        pf, pm, _ = mc.mc_dep(stats, trials=40_000, seed=6)
-        assert pf.agrees_with(pf_c)
-        assert pm.agrees_with(pm_c)
+        pf, pm, _ = mc.mc_dep(stats, trials=trials, seed=6)
+        assert _binomial_agrees(pf, pf_c)
+        assert _binomial_agrees(pm, pm_c)
+
+
+def test_mc_dep_draws_independent_chunks_at_nearby_seeds():
+    """Base seeds 12-15 key sixteen distinct 2 500-trial chunks, so their
+    four (P_F, P_M) pairs differ; keys shared across nearby seeds would
+    give all four seeds one pair."""
+    stats = DetectionStats(1.0, 2.0, sm.optimal_threshold(1.0, 2.0), 10)
+    pairs = {tuple(est.estimate
+                   for est in mc.mc_dep(stats, trials=10_000, seed=seed)[:2])
+             for seed in (12, 13, 14, 15)}
+    assert len(pairs) == 4
 
 
 def test_mc_dep_counts_2500_trial_chunks_keyed_by_worker():
@@ -314,6 +334,9 @@ def test_cpu_count_falls_back_without_affinity(monkeypatch):
 # -- vector-channel checks ----------------------------------------------------
 
 def test_mc_scp_h1_matches_closed_form_at_slot(cfg, gains0):
+    """The connection probability is 0.981: 1e5 samples see a 2 % error
+    in it many times over, and a 12 % error in the 0.019 miss rate with
+    power 0.9."""
     w_b = np.ones(cfg.n_b) / math.sqrt(cfg.n_b)
     w_c = np.ones(cfg.n_c) / math.sqrt(cfg.n_c)
     q_c = 4.38e-6
@@ -323,7 +346,7 @@ def test_mc_scp_h1_matches_closed_form_at_slot(cfg, gains0):
     p_ba = cfg.n_b * gains0.a2_ba[0]
     p_ca = gains0.a2_ca[0] * q_c
     closed = sm.scp_h1(p_ba, p_ca, cfg.sigma_a2_w, cfg.r_t)
-    assert est.agrees_with(closed)
+    assert _binomial_agrees(est, closed)
 
 
 def test_mc_scp_h1_shape_validation(cfg, gains0):
