@@ -1,7 +1,8 @@
 """Planner runs: the joint run and its two fixed-power benchmarks.
 
 Every run is one successive-refinement call (`trajectory.sca_trajectory`)
-from the straight-line starting plan, and the runs differ only in the slot
+from the straight-line starting plan (the joint run also from a given
+feasible plan), and the runs differ only in the slot
 powers a plan is valued at. The joint run (`run_bcd`) values each plan at
 the exact per-slot power search, so it maximizes V(plan) = mean over slots
 of max_q R_s: the paper's two-block scheme with the power block solved at
@@ -18,6 +19,7 @@ Also here: the weight-sweep frontier and the run artifacts.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -33,16 +35,33 @@ __all__ = [
 ]
 
 
-def _run(cfg, policy, max_iters):
+def _run(cfg, policy, max_iters, plan0=None):
     """One planner run under the covert-power policy `policy`; returns the
     loop's `trajectory.ScaResult`.
+
+    The run starts from plan0, or from `trajectory.initial_plan` when it
+    is None. A plan0 with another slot count than the scenario, or one
+    that fails `TrajectoryPlan.check_feasible` at 1e-9, raises
+    TrajectoryError naming the mismatch or the failed invariant.
 
     "search" values every plan at the exact per-slot power search (zero
     if it fails at the starting plan). "pinned" fixes every slot at the
     q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
     "silent" at zero with the covert-silent slot model.
     """
-    plan = trajectory.initial_plan(cfg)
+    if plan0 is None:
+        plan = trajectory.initial_plan(cfg)
+    else:
+        plan = plan0
+        if plan.n_slots != cfg.n_slots:
+            raise trajectory.TrajectoryError(
+                f"start plan has {plan.n_slots} slots, the scenario "
+                f"{cfg.n_slots}")
+        try:
+            plan.check_feasible(cfg, tol=1e-9)
+        except trajectory.TrajectoryError as exc:
+            raise trajectory.TrajectoryError(
+                f"start plan is infeasible: {exc}") from None
     q_c = np.zeros(plan.n_slots)
     power = None
     if policy == "pinned":
@@ -56,10 +75,16 @@ def _run(cfg, policy, max_iters):
                                      max_iters=max_iters, power=power)
 
 
-def run_bcd(cfg, max_iters=50):
+def run_bcd(cfg, max_iters=50, plan0=None):
     """Refine the flight path, each plan at its searched slot powers,
-    until the mean weighted rate stalls."""
-    return _run(cfg, "search", max_iters)
+    until the mean weighted rate stalls.
+
+    The loop starts from plan0 if given (a `trajectory.TrajectoryPlan`
+    of the scenario's slot count that flies at tolerance 1e-9; else
+    TrajectoryError), otherwise from `trajectory.initial_plan`. The start
+    plan is valued at its searched powers like every later plan.
+    """
+    return _run(cfg, "search", max_iters, plan0)
 
 
 def run_h0_benchmark(cfg, max_iters=50):
@@ -81,12 +106,15 @@ def run_sotfb(cfg, max_iters=50):
 
 @dataclass(frozen=True)
 class ParetoRow:
-    """One weight point: the two unweighted average rates."""
+    """One weight point: the two unweighted average rates, the error of a
+    rejected weight or a failed run (None otherwise), and the refinement
+    iterations of its run (0 when no run finished)."""
 
     kappa: float
     phi_s: float
     phi_c: float
     error: str = None
+    iterations: int = 0
 
 
 def _frontier_components(cfg, trace):
@@ -95,29 +123,51 @@ def _frontier_components(cfg, trace):
     return float(np.mean(d.scp * d.r_s)), float(np.mean(d.ccp * cfg.r_c))
 
 
+def _failed_row(kappa, error):
+    return ParetoRow(kappa=kappa, phi_s=math.nan, phi_c=math.nan, error=error)
+
+
 def pareto_sweep(cfg, kappas, max_iters=50):
     """Run the joint planner per weight and tabulate (kappa, Phi_s, Phi_c).
 
-    A failed run lands in the table with its error message; the sweep
-    continues with the remaining weights.
+    The weights are chained in the given order: each valid weight's
+    `run_bcd` starts from the final plan of the previous row without an
+    error, and the first one (or one after only rejected or failed rows)
+    from `trajectory.initial_plan`. The weight changes only the objective,
+    not the constraints, so that plan is feasible at every weight, and
+    each row still ends where one more step gains less than `bcd_tol`.
+    A row and a cold run at its weight both stop at such a point, but not
+    necessarily the same one, so their objectives can differ slightly.
+
+    A weight that is not a real number in (0, 1) gets a row naming why,
+    and a failed run lands in the table with its error message; neither
+    seeds the next run, and the sweep continues with the remaining
+    weights.
     """
     rows = []
+    plan = None
     for k in kappas:
+        if isinstance(k, bool) or not isinstance(k, numbers.Real):
+            rows.append(_failed_row(
+                k, f"kappa must be a real number, got {k!r}"))
+            continue
         if not 0.0 < k < 1.0:
-            rows.append(ParetoRow(kappa=float(k), phi_s=math.nan,
-                                  phi_c=math.nan,
-                                  error="kappa must lie strictly in (0, 1)"))
+            rows.append(_failed_row(
+                float(k), "kappa must lie strictly in (0, 1)"))
             continue
         alt = scenario.with_overrides(cfg, kappa=float(k))
         try:
-            trace = run_bcd(alt, max_iters=max_iters)
+            trace = run_bcd(alt, max_iters=max_iters, plan0=plan)
             phi_s, phi_c = _frontier_components(alt, trace)
-            rows.append(ParetoRow(kappa=float(k), phi_s=phi_s, phi_c=phi_c,
-                                  error=trace.error))
         except Exception as exc:  # the sweep must survive individual runs
-            rows.append(ParetoRow(kappa=float(k), phi_s=math.nan,
-                                  phi_c=math.nan,
-                                  error=f"{type(exc).__name__}: {exc}"))
+            rows.append(_failed_row(
+                float(k), f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(ParetoRow(kappa=float(k), phi_s=phi_s, phi_c=phi_c,
+                              error=trace.error,
+                              iterations=trace.iterations))
+        if trace.error is None:
+            plan = trace.plan
     return rows
 
 

@@ -1,5 +1,6 @@
 """Joint and fixed-power planner runs, baselines, and run artifacts."""
 
+import dataclasses
 import math
 import os
 
@@ -359,11 +360,17 @@ def test_joint_and_fixed_beamformer_runs_differ_in_power(cfg):
 
 def test_pareto_sweep_rejects_degenerate_weights(cfg):
     rows = orchestrator.pareto_sweep(with_overrides(cfg, bcd_tol=math.inf),
-                                     [0.0, 1.0, 1.5], max_iters=1)
-    assert len(rows) == 3
+                                     [0.0, 1.0, 1.5, None, "0.5", True],
+                                     max_iters=1)
+    assert len(rows) == 6
     for row in rows:
         assert row.error is not None
         assert math.isnan(row.phi_s) and math.isnan(row.phi_c)
+        assert row.iterations == 0
+    assert [r.error for r in rows[3:]] == [
+        "kappa must be a real number, got None",
+        "kappa must be a real number, got '0.5'",
+        "kappa must be a real number, got True"]
 
 
 def test_pareto_sweep_valid_weight(cfg):
@@ -373,10 +380,128 @@ def test_pareto_sweep_valid_weight(cfg):
     row = rows[0]
     assert row.error is None
     assert row.phi_s > 0 and row.phi_c > 0
+    assert row.iterations == 1
     # the weighted objective decomposes into the two frontier components
     trace = orchestrator.run_bcd(one_step, max_iters=1)
     mix = 0.5 * row.phi_s + 0.5 * row.phi_c
     assert mix == pytest.approx(trace.objective, rel=1e-9)
+
+
+_KAPPAS = [round(0.1 * k, 1) for k in range(1, 10)]
+
+
+def _capture_run_bcd(monkeypatch):
+    """Wrap orchestrator.run_bcd as the benchmark does; returns the list
+    of (scenario, positional args, keyword args, result) per call."""
+    real = orchestrator.run_bcd
+    calls = []
+
+    def capture(alt, *args, **kwargs):
+        trace = real(alt, *args, **kwargs)
+        calls.append((alt, args, kwargs, trace))
+        return trace
+
+    monkeypatch.setattr(orchestrator, "run_bcd", capture)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def chained_sweep(cfg):
+    """paper_default's 9-point sweep and its captured run_bcd calls."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = _capture_run_bcd(m)
+        rows = orchestrator.pareto_sweep(cfg, _KAPPAS)
+    return rows, calls
+
+
+def test_sweep_calls_run_bcd_once_per_weight_from_the_previous_plan(
+        chained_sweep):
+    """The benchmark collects each point's run by wrapping the module's
+    run_bcd, so the sweep calls it by that name, once per weight, with
+    the previous row's final plan as plan0."""
+    rows, calls = chained_sweep
+    assert [alt.kappa for alt, *_ in calls] == _KAPPAS
+    assert all(args == () and set(kwargs) == {"max_iters", "plan0"}
+               for _, args, kwargs, _ in calls)
+    assert calls[0][2]["plan0"] is None
+    for prev, call in zip(calls, calls[1:]):
+        assert call[2]["plan0"] is prev[3].plan
+    assert [r.iterations for r in rows] == [c[3].iterations for c in calls]
+
+
+def test_sweep_first_row_is_the_cold_run(cfg, chained_sweep):
+    rows, _ = chained_sweep
+    alt = with_overrides(cfg, kappa=_KAPPAS[0])
+    cold = orchestrator._frontier_components(alt, orchestrator.run_bcd(alt))
+    assert [float.hex(rows[0].phi_s), float.hex(rows[0].phi_c)] == \
+        [float.hex(x) for x in cold]
+
+
+def test_chained_rows_are_stationary(chained_sweep):
+    """Each row started from its neighbour's plan still ends where one
+    more refinement step gains less than bcd_tol."""
+    _, calls = chained_sweep
+    for alt, _, _, trace in calls[1:]:
+        step = orchestrator.run_bcd(alt, max_iters=1, plan0=trace.plan)
+        assert step.error is None
+        assert step.objectives[0] == trace.objective
+        assert step.objective - step.objectives[0] < alt.bcd_tol
+
+
+def test_chained_sweep_halves_the_iterations(cfg, chained_sweep):
+    rows, _ = chained_sweep
+    assert all(r.error is None for r in rows)
+    cold = sum(orchestrator.run_bcd(with_overrides(cfg, kappa=k)).iterations
+               for k in _KAPPAS)
+    assert sum(r.iterations for r in rows) <= cold / 2
+
+
+def test_rejected_and_failed_weights_do_not_seed_the_chain(cfg, monkeypatch):
+    """An invalid weight gets no run, and a run that fails after moving
+    its plan does not hand that plan on: the rows after them equal the
+    sweep without them."""
+    exact = with_overrides(cfg, bcd_tol=1e-300)
+    real = trajectory.solve_subproblem
+    failing_calls = []
+
+    def failing(lin, plan_ref, alt):
+        if alt.kappa == 0.45:
+            failing_calls.append(None)
+            if len(failing_calls) == 2:
+                raise trajectory.TrajectoryError("injected")
+        return real(lin, plan_ref, alt)
+
+    monkeypatch.setattr(trajectory, "solve_subproblem", failing)
+    clean = orchestrator.pareto_sweep(exact, [0.3, 0.6, 0.8], max_iters=3)
+    calls = _capture_run_bcd(monkeypatch)
+    rows = orchestrator.pareto_sweep(
+        exact, [0.3, 1.5, None, 0.45, 0.6, 0.8], max_iters=3)
+    assert [r.error for r in rows] == [
+        None, "kappa must lie strictly in (0, 1)",
+        "kappa must be a real number, got None",
+        "round 2, trajectory block: TrajectoryError: injected", None, None]
+    assert [alt.kappa for alt, *_ in calls] == [0.3, 0.45, 0.6, 0.8]
+    first, failed, after = (c[3].plan for c in calls[:3])
+    assert failed is not first
+    assert calls[0][2]["plan0"] is None
+    assert calls[1][2]["plan0"] is first and calls[2][2]["plan0"] is first
+    assert calls[3][2]["plan0"] is after
+    hexed = [(float.hex(r.phi_s), float.hex(r.phi_c), r.iterations)
+             for r in (rows[0], *rows[4:])]
+    assert hexed == [(float.hex(r.phi_s), float.hex(r.phi_c), r.iterations)
+                     for r in clean]
+
+
+def test_run_bcd_rejects_a_bad_start_plan(cfg, plan0):
+    short = trajectory.initial_plan(with_overrides(cfg, n_slots=65))
+    with pytest.raises(trajectory.TrajectoryError,
+                       match=r"^start plan has 65 slots, the scenario 130$"):
+        orchestrator.run_bcd(cfg, plan0=short)
+    moved = dataclasses.replace(plan0, positions=plan0.positions + 1.0)
+    with pytest.raises(trajectory.TrajectoryError,
+                       match=r"^start plan is infeasible: plan does not "
+                             r"start at l_start$"):
+        orchestrator.run_bcd(cfg, plan0=moved)
 
 
 def test_trace_csv(cfg, tmp_path):
