@@ -26,7 +26,6 @@ __all__ = [
     "gains_for_slacks",
     "gains_for_positions",
     "rician_fading",
-    "rayleigh_fading",
     "draw_fading",
 ]
 
@@ -110,11 +109,6 @@ def rician_fading(rng: np.random.Generator, n_antennas: int, k: float, size: int
     return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * scat
 
 
-def rayleigh_fading(rng: np.random.Generator, n_antennas: int, size: int = 1):
-    """Draw `size` Rayleigh (CN(0, I)) vectors, shape (size, n_antennas)."""
-    return rician_fading(rng, n_antennas, 0.0, size)
-
-
 @dataclass(frozen=True)
 class FadingDraw:
     """Channel vectors for one slot: h = sqrt(a²) * g, shapes (size, N)."""
@@ -132,6 +126,6 @@ def draw_fading(cfg: ScenarioConfig, gains: ChannelGains, slot: int,
         raise IndexError(f"slot {slot} outside gain table of length {len(gains.a2_ba)}")
     h_ba = np.sqrt(gains.a2_ba[slot]) * rician_fading(rng, cfg.n_b, cfg.k_ba, size)
     h_ca = np.sqrt(gains.a2_ca[slot]) * rician_fading(rng, cfg.n_c, cfg.k_ca, size)
-    h_bw = np.sqrt(gains.a2_bw) * rayleigh_fading(rng, cfg.n_b, size)
-    h_cw = np.sqrt(gains.a2_cw) * rayleigh_fading(rng, cfg.n_c, size)
+    h_bw = np.sqrt(gains.a2_bw) * rician_fading(rng, cfg.n_b, 0.0, size)
+    h_cw = np.sqrt(gains.a2_cw) * rician_fading(rng, cfg.n_c, 0.0, size)
     return FadingDraw(h_ba=h_ba, h_ca=h_ca, h_bw=h_bw, h_cw=h_cw)

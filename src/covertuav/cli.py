@@ -7,11 +7,11 @@ Four subcommands cover the working surfaces of the package:
 * ``optimize``        the joint planner or a baseline, artifacts dumped to disk
 * ``validate``        simulation cross-checks plus invariant spot checks
 
-Each command writes plain one-header CSV files into the output directory
-and finishes with a ``manifest.json`` naming every produced file; the
-manifest lands last so a complete manifest implies a complete run. Exit
-codes: 0 success, 1 configuration error, 2 optimization failure,
-3 validation failure.
+Each command writes plain one-header CSV files into the output directory,
+which ``main`` makes before any work, and finishes with a
+``manifest.json`` naming every produced file; the manifest lands last so
+a complete manifest implies a complete run. Exit codes: 0 success,
+1 configuration error, 2 optimization failure, 3 validation failure.
 """
 
 import argparse
@@ -99,7 +99,6 @@ def cmd_metrics_sweep(cfg, figure, outdir):
     """
     if figure not in FIGURES:
         raise UsageError(f"unknown figure {figure!r} (choose from {FIGURES})")
-    os.makedirs(outdir, exist_ok=True)
     files = []
 
     def emit(name, column, values):
@@ -158,7 +157,6 @@ def cmd_rate_vs_power(cfg, mode, outdir):
     if mode not in RATE_MODES:
         raise UsageError(f"unknown mode {mode!r} (choose from {RATE_MODES})")
     env = _slot0_env(cfg)
-    os.makedirs(outdir, exist_ok=True)
     name = f"rate_vs_power_{mode}.csv"
 
     if mode == "h1":
@@ -312,7 +310,6 @@ def cmd_validate(cfg, outdir, seed=0, samples=100_000, quick=False):
     trials = 10_000
     if quick:
         samples = min(samples, 20_000)
-    os.makedirs(outdir, exist_ok=True)
     report = []
     rows = _check_agreement(cfg, seed, samples, report)
     _check_detector_mc(seed, trials, report)
@@ -413,11 +410,12 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = _resolve_scenario(args.scenario)
+        outdir = args.out or os.path.join("runs", args.command)
+        os.makedirs(outdir, exist_ok=True)
     except (UsageError, scenario.ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = args.out or os.path.join("runs", args.command)
     try:
         code, files = _dispatch(cfg, args, outdir)
     except (beamform.CovertBudgetError, trajectory.TrajectoryError,

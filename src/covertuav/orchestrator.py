@@ -1,14 +1,14 @@
 """Planner runs: the joint run and its two fixed-power benchmarks.
 
-Every run is one successive-refinement call (`trajectory.sca_trajectory`)
-from the straight-line starting plan (the joint run also from a given
-feasible plan), and the runs differ only in the slot
-powers a plan is valued at. The joint run (`run_bcd`) values each plan at
-the exact per-slot power search, so it maximizes V(plan) = mean over slots
-of max_q R_s: the paper's two-block scheme with the power block solved at
-every trial plan and the trajectory block one SCA step. A step lands only
-if V does not decrease, so the trace is nondecreasing, and the loop stops
-once a step moves V by less than the scenario's `bcd_tol`. The
+Each runner calls the one successive-refinement loop
+(`trajectory.sca_trajectory`) itself, from the straight-line starting plan
+(the joint run also from a given feasible plan); the runs differ only in
+the slot powers a plan is valued at. The joint run (`run_bcd`) values each
+plan at the exact per-slot power search, so it maximizes V(plan) = mean
+over slots of max_q R_s: the paper's two-block scheme with the power block
+solved at every trial plan and the trajectory block one SCA step. A step
+lands only if V does not decrease, so the trace is nondecreasing, and the
+loop stops once a step moves V by less than the scenario's `bcd_tol`. The
 fixed-beamformer baseline (`run_sotfb`) pins every slot's covert power at
 the cap, and the covert-user-silent benchmark (`run_h0_benchmark`)
 evaluates the covert-silent slot model. Every run returns the loop's own
@@ -35,56 +35,36 @@ __all__ = [
 ]
 
 
-def _run(cfg, policy, max_iters, plan0=None):
-    """One planner run under the covert-power policy `policy`; returns the
-    loop's `trajectory.ScaResult`.
-
-    The run starts from plan0, or from `trajectory.initial_plan` when it
-    is None. A plan0 with another slot count than the scenario, or one
-    that fails `TrajectoryPlan.check_feasible` at 1e-9, raises
-    TrajectoryError naming the mismatch or the failed invariant.
-
-    "search" values every plan at the exact per-slot power search (zero
-    if it fails at the starting plan). "pinned" fixes every slot at the
-    q_c_feasible of the starting plan's slot 0 (at most q_c_max), and
-    "silent" at zero with the covert-silent slot model.
-    """
-    if plan0 is None:
-        plan = trajectory.initial_plan(cfg)
-    else:
-        plan = plan0
-        if plan.n_slots != cfg.n_slots:
-            raise trajectory.TrajectoryError(
-                f"start plan has {plan.n_slots} slots, the scenario "
-                f"{cfg.n_slots}")
-        try:
-            plan.check_feasible(cfg, tol=1e-9)
-        except trajectory.TrajectoryError as exc:
-            raise trajectory.TrajectoryError(
-                f"start plan is infeasible: {exc}") from None
-    q_c = np.zeros(plan.n_slots)
-    power = None
-    if policy == "pinned":
-        gains = channel.gains_for_positions(cfg, plan.comm_positions)
-        q_c[:] = kernels.slot_env(cfg, gains, 0).q_c_feasible
-    elif policy == "search":
-        def power(p):
-            gains = channel.gains_for_positions(cfg, p.comm_positions)
-            return beamform.bsa_slots(cfg, gains).q_c
-    return trajectory.sca_trajectory(plan, q_c, cfg, h0=policy == "silent",
-                                     max_iters=max_iters, power=power)
-
-
 def run_bcd(cfg, max_iters=50, plan0=None):
     """Refine the flight path, each plan at its searched slot powers,
     until the mean weighted rate stalls.
 
-    The loop starts from plan0 if given (a `trajectory.TrajectoryPlan`
-    of the scenario's slot count that flies at tolerance 1e-9; else
-    TrajectoryError), otherwise from `trajectory.initial_plan`. The start
-    plan is valued at its searched powers like every later plan.
+    The loop starts from plan0 if given, otherwise from
+    `trajectory.initial_plan`. A plan0 with another slot count than the
+    scenario, or one that fails `TrajectoryPlan.check_feasible` at 1e-9,
+    raises TrajectoryError naming the mismatch or the failed invariant.
+    Every plan, the start included, is valued at its `beamform.bsa_slots`
+    powers (zero if the search fails at the start).
     """
-    return _run(cfg, "search", max_iters, plan0)
+    if plan0 is None:
+        plan0 = trajectory.initial_plan(cfg)
+    elif plan0.n_slots != cfg.n_slots:
+        raise trajectory.TrajectoryError(
+            f"start plan has {plan0.n_slots} slots, the scenario "
+            f"{cfg.n_slots}")
+    else:
+        try:
+            plan0.check_feasible(cfg, tol=1e-9)
+        except trajectory.TrajectoryError as exc:
+            raise trajectory.TrajectoryError(
+                f"start plan is infeasible: {exc}") from None
+
+    def power(plan):
+        gains = channel.gains_for_positions(cfg, plan.comm_positions)
+        return beamform.bsa_slots(cfg, gains).q_c
+
+    return trajectory.sca_trajectory(plan0, 0.0, cfg, max_iters=max_iters,
+                                     power=power)
 
 
 def run_h0_benchmark(cfg, max_iters=50):
@@ -95,13 +75,20 @@ def run_h0_benchmark(cfg, max_iters=50):
     contribution is identically zero and the outage cap is honored by
     construction.
     """
-    return _run(cfg, "silent", max_iters)
+    return trajectory.sca_trajectory(trajectory.initial_plan(cfg), 0.0, cfg,
+                                     h0=True, max_iters=max_iters)
 
 
 def run_sotfb(cfg, max_iters=50):
     """Trajectory-only baseline: every slot keeps its covert power pinned at
-    the cap (uniform unit directions) and only the flight path is refined."""
-    return _run(cfg, "pinned", max_iters)
+    the cap min(q_c_max, q_b_max*g_bw/c_cw) (uniform unit directions) and
+    only the flight path is refined. The cap uses only the ground links,
+    so it is one value for every slot and every UAV position."""
+    plan = trajectory.initial_plan(cfg)
+    gains = channel.gains_for_positions(cfg, plan.comm_positions)
+    return trajectory.sca_trajectory(
+        plan, kernels.slot_env(cfg, gains).q_c_feasible, cfg,
+        max_iters=max_iters)
 
 
 @dataclass(frozen=True)

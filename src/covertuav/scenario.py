@@ -272,7 +272,12 @@ def _validate(c: ScenarioConfig):
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    """Build a config from file-format keys (dB/dBm converted to linear)."""
+    """Build a config from file-format keys (dB/dBm converted to linear);
+    ScenarioError naming any key that is not a scenario field."""
+    known = {"name"} | {key for _, key, _, _ in _FILE_FIELDS}
+    unknown = sorted(str(k) for k in d.keys() - known)
+    if unknown:
+        raise ScenarioError(f"unknown scenario field {', '.join(unknown)}")
     kw = {"name": str(d.get("name", "scenario"))}
     for name, key, unit, default in _FILE_FIELDS:
         v = d.get(key, default)

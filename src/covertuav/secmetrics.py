@@ -395,7 +395,8 @@ def missed_detection(m, q_th, sigma1):
 
 def _check_block(m):
     arr = np.asarray(m)
-    if np.any(arr < 1) or not np.issubdtype(arr.dtype, np.integer) and np.any(arr != np.floor(arr)):
+    if arr.dtype == bool or not np.all(
+            np.isfinite(arr) & (arr >= 1) & (arr == np.floor(arr))):
         raise ValueError("block length m must be a positive integer")
     return arr.astype(float) if arr.ndim else float(arr)
 

@@ -108,12 +108,6 @@ def test_rician_high_k_approaches_line_of_sight():
     assert np.allclose(np.abs(g), 1.0, atol=1e-3)
 
 
-def test_rician_zero_k_is_rayleigh():
-    a = channel.rician_fading(make_rng(11), 3, 0.0, size=8)
-    b = channel.rayleigh_fading(make_rng(11), 3, size=8)
-    assert np.array_equal(a, b)
-
-
 def test_negative_k_rejected():
     with pytest.raises(ValueError, match=">= 0"):
         channel.rician_fading(make_rng(0), 2, -0.5)

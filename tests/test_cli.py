@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 import covertuav
-from covertuav import beamform, channel, cli, scenario, trajectory
+from covertuav import (beamform, channel, cli, orchestrator, scenario,
+                       trajectory)
 
 
 def _load(path):
@@ -53,6 +54,7 @@ def test_unknown_scenario_exits_with_config_error(tmp_path, capsys):
     ("m_samples", "1e2.5", "m_samples must be a number"),
     ("l_start_m", ["x", 0.0], "l_start_m must be a number"),
     ("l_c_m", None, "l_c_m and l_w_m must differ"),
+    ("bcd_toll", 1e-9, "unknown scenario field bcd_toll"),
     ("yaml", None, "is not valid YAML"),
 ])
 def test_bad_scenario_file_exits_with_named_config_error(
@@ -112,6 +114,32 @@ def test_default_outdir_is_named_after_command(tmp_path, monkeypatch):
     assert os.path.exists(
         os.path.join("runs", "rate-vs-power", "manifest.json"))
     assert _manifest(os.path.join("runs", "rate-vs-power"))["seed"] is None
+
+
+@pytest.mark.parametrize("argv, module, runner", [
+    (["optimize", "--mode", "h0"], orchestrator, "run_h0_benchmark"),
+    (["validate", "--quick"], cli, "cmd_validate"),
+    (["rate-vs-power"], cli, "cmd_rate_vs_power"),
+    (["metrics-sweep", "--figure", "dep"], cli, "cmd_metrics_sweep")])
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_out_is_a_config_error_before_any_work(
+        argv, module, runner, below, tmp_path, monkeypatch, capsys):
+    """--out naming a file (or a path below one) ends with exit 1 and a
+    message naming it, before the command does any work, and leaves the
+    file as it was."""
+    def never(*args, **kwargs):
+        pytest.fail(f"{runner} ran with an unusable --out")
+
+    monkeypatch.setattr(module, runner, never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    rc = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith("configuration error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,18 @@ def test_dropped_name_defaults():
     assert scenario_from_dict(d).name == "scenario"
 
 
+def test_unknown_keys_are_named_in_sorted_order():
+    """A misspelled key is an error, not a silent fallback to a default."""
+    full = _full_file_dict()
+    d = {("bcd_toll" if k == "bcd_tol" else k): v for k, v in full.items()}
+    with pytest.raises(ScenarioError,
+                       match="^unknown scenario field bcd_toll$"):
+        scenario_from_dict(d)
+    with pytest.raises(ScenarioError,
+                       match="^unknown scenario field 7, h_mm, zz$"):
+        scenario_from_dict({**full, "zz": 1, "h_mm": 2, 7: 3})
+
+
 def test_coincident_endpoints_rejected():
     c = bundled_scenario()
     with pytest.raises(ScenarioError, match="must differ"):

@@ -216,6 +216,13 @@ def test_block_length_must_be_positive_integer():
         sm.false_alarm(0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sm.false_alarm(2.5, 1.0, 1.0)
+    for m in (True, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive integer"):
+            sm.false_alarm(m, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            sm.missed_detection(m, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            DetectionStats(sigma0=1.0, sigma1=2.0, q_th=1.0, m=m)
 
 
 def test_dep_exact_anchor():
